@@ -12,7 +12,9 @@
 //! and the viewport-tile routes: one tile must miss then hit
 //! byte-identically, answer `If-None-Match` with a 304, 404 past the grid,
 //! and stream a `GTSC` scene document (saved as `tile_1_0_0.svg` /
-//! `scene.gtsc` so CI can byte-diff a re-requested tile).
+//! `scene.gtsc` so CI can byte-diff a re-requested tile). Every k-core
+//! artifact of the uploaded graph, two distinct tiles included, must come
+//! from one shared stage set: `/stats` `stage_sets.builds` grows by 1.
 //!
 //! ```text
 //! route_smoke --addr <host:port> --graph <path> [--out-dir <dir>]
@@ -56,6 +58,19 @@ fn expect_status(step: &str, response: &client::HttpResponse, status: u16) {
     }
 }
 
+/// `/stats` `stage_sets.builds`: how many whole-graph stage sets the
+/// server has built so far.
+fn stage_set_builds(addr: SocketAddr) -> u64 {
+    let stats = client::get(addr, "/stats").unwrap_or_else(|e| fail("stats", e));
+    expect_status("stats", &stats, 200);
+    let doc: serde_json::Value = serde_json::from_str(&stats.body_utf8())
+        .unwrap_or_else(|e| fail("stats", format!("body is not JSON: {e}")));
+    doc.get("stage_sets")
+        .and_then(|sets| sets.get("builds"))
+        .and_then(|builds| builds.as_u64())
+        .unwrap_or_else(|| fail("stats", "no stage_sets.builds counter"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let addr: SocketAddr = flag(&args, "--addr")
@@ -71,6 +86,7 @@ fn main() {
     // 1. Health first: the server is actually up.
     let health = client::get(addr, "/healthz").unwrap_or_else(|e| fail("healthz", e));
     expect_status("healthz", &health, 200);
+    let builds_before = stage_set_builds(addr);
 
     // 2. Upload the graph under a fixed id.
     let upload =
@@ -196,6 +212,18 @@ fn main() {
     }
     if scene.header("content-type") != Some("application/octet-stream") {
         fail("scene", format!("content-type = {:?}", scene.header("content-type")));
+    }
+    // A second, distinct k-core tile misses the artifact cache but reuses
+    // the stage set every k-core artifact above was rendered from.
+    let other_tile = client::get(addr, "/graphs/smoke/tiles/1/1/1?measure=kcore")
+        .unwrap_or_else(|e| fail("second tile", e));
+    expect_status("second tile", &other_tile, 200);
+    if other_tile.header("x-cache") != Some("miss") || other_tile.body == tile_miss.body {
+        fail("second tile", "a distinct tile key must be a distinct artifact");
+    }
+    let builds = stage_set_builds(addr) - builds_before;
+    if builds != 1 {
+        fail("stage sets", format!("one graph and one measure built {builds} stage sets"));
     }
 
     // 11. Dynamic graphs: upload a small fixed base, stream an insert and a

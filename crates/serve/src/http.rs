@@ -423,6 +423,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         422 => "Unprocessable Entity",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
     }

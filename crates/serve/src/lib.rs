@@ -41,4 +41,4 @@ pub use cache::{etag_for_key, CacheStats, CachedArtifact, LruCache};
 pub use error::ApiError;
 pub use http::{HttpError, Method, Request, Response};
 pub use server::{Server, ServerHandle};
-pub use state::{AppState, GraphEntry, ServerConfig, StageTotals};
+pub use state::{AppState, GraphEntry, ServerConfig, StageSetStats, StageTotals, MAX_STAGE_SETS};

@@ -24,6 +24,13 @@
 //! and the key — *not* on `budget`/`levels` (tiles render the unsimplified
 //! tree) and not on `threads` — which is exactly what the cache key embeds.
 //!
+//! Every render route misses into the graph generation's shared
+//! [`StageSet`] for its measure (see [`AppState::stage_set`]): tiles and
+//! scene documents are written straight from the set's scene, terrains and
+//! peaks start a session from it and run only simplify → layout → mesh →
+//! export. The scalar field, trees and scene are built once per
+//! (graph id, generation, measure), not once per artifact.
+//!
 //! Deltas: the body is an edge batch in any [`GraphFormat`] (same `format`
 //! parameter as uploads) and `op` (`insert` | `delete` | `reweight`,
 //! default `insert`) is applied to every edge in it. A structural delta
@@ -52,10 +59,10 @@ use std::sync::Arc;
 use crate::cache::{etag_for_key, CachedArtifact};
 use crate::error::{json_f64, json_string, ApiError};
 use crate::http::{Method, Request, Response};
-use crate::state::{AppState, GraphEntry};
+use crate::state::{AppState, GraphEntry, MAX_STAGE_SETS};
 use graph_terrain::{
-    FieldKind, LodConfig, Measure, SharedGraph, SimplificationConfig, SvgSize, TerrainPipeline,
-    TileKey, MEASURES,
+    FieldKind, LodConfig, Measure, SharedGraph, SimplificationConfig, StageSet, StageTimings,
+    SvgSize, TerrainPipeline, TileKey, MEASURES,
 };
 use measures::Parallelism;
 use terrain::{exporter_by_name_sized, highest_peaks, peaks_at_alpha, ColorScheme, Exporter, Peak};
@@ -271,10 +278,7 @@ struct RenderParams {
 
 fn parse_render_params(req: &Request) -> Result<RenderParams, ApiError> {
     let measure = parse_measure(req)?;
-    let parallelism = match req.query_param("threads") {
-        Some(raw) => Parallelism::parse(raw)?,
-        None => Parallelism::Serial,
-    };
+    let parallelism = parse_parallelism(req)?;
     let simplification = SimplificationConfig {
         node_budget: match req.query_param("budget") {
             None => SimplificationConfig::default().node_budget,
@@ -405,9 +409,8 @@ fn terrain(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiErr
     let entry = lookup(state, id)?;
     let params = parse_render_params(req)?;
     let key = render_cache_key(&entry, &params);
-    serve_cached(state, req, &key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), params.measure);
-        session.set_parallelism(params.parallelism);
+    serve_staged(state, req, &key, &entry, &params.measure, params.parallelism, |set| {
+        let mut session = TerrainPipeline::from_stage_set(set);
         session.set_simplification(params.simplification);
         session.set_svg_size(params.svg_size);
         if params.color == ColorChoice::Degree {
@@ -419,18 +422,14 @@ fn terrain(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiErr
         // The timing-free render: cached artifacts must depend on nothing
         // but the key. Wall-clock timings still land in `/stats`.
         session.render_deterministic_to(params.exporter.as_ref(), &mut bytes)?;
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((bytes, content_type_for(&params.exporter_name)))
+        Ok((bytes, session.timings(), content_type_for(&params.exporter_name)))
     })
 }
 
 fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError> {
     let entry = lookup(state, id)?;
     let measure = parse_measure(req)?;
-    let parallelism = match req.query_param("threads") {
-        Some(raw) => Parallelism::parse(raw)?,
-        None => Parallelism::Serial,
-    };
+    let parallelism = parse_parallelism(req)?;
     let alpha: Option<f64> = match req.query_param("alpha") {
         Some(raw) => Some(numeric_param("alpha", raw)?),
         None => None,
@@ -448,17 +447,15 @@ fn peaks(state: &AppState, req: &Request, id: &str) -> Result<Response, ApiError
             None => format!("count={count}"),
         }
     );
-    serve_cached(state, req, &key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
+    serve_staged(state, req, &key, &entry, &measure, parallelism, |set| {
+        let mut session = TerrainPipeline::from_stage_set(set);
         let stages = session.stages()?;
         let peaks = match alpha {
             Some(a) => peaks_at_alpha(stages.render_tree, stages.layout, a),
             None => highest_peaks(stages.render_tree, stages.layout, count),
         };
         let body = peaks_json(id, &measure_name, alpha, &peaks);
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((body.into_bytes(), "application/json"))
+        Ok((body.into_bytes(), session.timings(), "application/json"))
     })
 }
 
@@ -534,20 +531,14 @@ fn tile(
         key.ty,
     );
     let content_type = if as_svg { "image/svg+xml" } else { "application/octet-stream" };
-    serve_cached(state, req, &cache_key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
+    serve_staged(state, req, &cache_key, &entry, &measure, parallelism, |set| {
         let mut bytes = Vec::new();
-        {
-            let scene = session.scene()?;
-            if as_svg {
-                scene.write_tile_svg(&key, size, &mut bytes)?;
-            } else {
-                scene.write_tile_gtsc(&key, &mut bytes)?;
-            }
+        if as_svg {
+            set.scene().write_tile_svg(&key, size, &mut bytes)?;
+        } else {
+            set.scene().write_tile_gtsc(&key, &mut bytes)?;
         }
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((bytes, content_type))
+        Ok((bytes, StageTimings::default(), content_type))
     })
 }
 
@@ -564,13 +555,10 @@ fn scene_document(state: &AppState, req: &Request, id: &str) -> Result<Response,
         entry.generation,
         measure_canonical(&measure),
     );
-    serve_cached(state, req, &cache_key, || {
-        let mut session = TerrainPipeline::from_shared(entry.graph.clone(), measure);
-        session.set_parallelism(parallelism);
+    serve_staged(state, req, &cache_key, &entry, &measure, parallelism, |set| {
         let mut bytes = Vec::new();
-        session.scene()?.write_scene_gtsc(&mut bytes)?;
-        state.stage_totals.lock().expect("stage totals lock").absorb(&session.timings());
-        Ok((bytes, "application/octet-stream"))
+        set.scene().write_scene_gtsc(&mut bytes)?;
+        Ok((bytes, StageTimings::default(), "application/octet-stream"))
     })
 }
 
@@ -634,6 +622,28 @@ fn serve_cached(
     Ok(artifact_response(&artifact, "miss"))
 }
 
+/// [`serve_cached`] for the render routes: a miss looks up (or builds) the
+/// `measure`'s [`StageSet`] of `entry`'s graph generation, renders the
+/// artifact from it, and folds the stages that ran into `/stats`.
+fn serve_staged(
+    state: &AppState,
+    req: &Request,
+    key: &str,
+    entry: &Arc<GraphEntry>,
+    measure: &Measure,
+    parallelism: Parallelism,
+    render: impl FnOnce(&StageSet) -> Result<(Vec<u8>, StageTimings, &'static str), ApiError>,
+) -> Result<Response, ApiError> {
+    serve_cached(state, req, key, || {
+        let set = state.stage_set(entry, measure, parallelism)?;
+        let (bytes, timings, content_type) = render(&set)?;
+        let mut totals = state.stage_totals.lock().expect("stage totals lock");
+        totals.renders += 1;
+        totals.absorb(&timings);
+        Ok((bytes, content_type))
+    })
+}
+
 fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
     Response::with_body(200, artifact.content_type, artifact.bytes.clone())
         .header("ETag", &artifact.etag)
@@ -645,22 +655,26 @@ fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
 fn stats(state: &AppState) -> Response {
     let cache = state.cache.lock().expect("cache lock").stats();
     let totals = state.stage_totals.lock().expect("stage totals lock").clone();
+    let sets = state.stage_set_stats();
     let load = std::sync::atomic::Ordering::Relaxed;
     let body = format!(
         concat!(
             "{{\"requests_served\":{},\"in_flight\":{},\"error_responses\":{},",
-            "\"dropped_connections\":{},\"not_modified\":{},",
+            "\"dropped_connections\":{},\"rejected_connections\":{},\"not_modified\":{},",
             "\"graphs\":{},\"workers\":{},",
             "\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{},\"evictions\":{},",
             "\"insertions\":{},\"uncacheable\":{},\"entries\":{},\"bytes\":{},",
             "\"capacity\":{},\"max_bytes\":{}}},",
             "\"stage_seconds\":{{\"renders\":{},\"scalar\":{},\"tree\":{},\"super_tree\":{},",
-            "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}}}}"
+            "\"simplify\":{},\"layout\":{},\"mesh\":{},\"svg\":{},\"scene\":{}}},",
+            "\"stage_sets\":{{\"builds\":{},\"reuses\":{},\"waits\":{},\"resident\":{},",
+            "\"max_resident\":{}}}}}"
         ),
         state.requests_served.load(load),
         state.in_flight.load(load),
         state.error_responses.load(load),
         state.dropped_connections.load(load),
+        state.rejected_connections.load(load),
         state.not_modified.load(load),
         state.graphs().len(),
         state.config.workers,
@@ -683,6 +697,11 @@ fn stats(state: &AppState) -> Response {
         json_f64(totals.mesh_seconds),
         json_f64(totals.svg_seconds),
         json_f64(totals.scene_seconds),
+        sets.builds,
+        sets.reuses,
+        sets.waits,
+        sets.resident,
+        MAX_STAGE_SETS,
     );
     Response::json(200, body)
 }

@@ -4,8 +4,11 @@
 //! `sync_channel` as the bounded hand-off queue, and N workers each owning
 //! one connection at a time (connection-per-request; every response closes).
 //! Backpressure is the channel bound: when all workers are busy and the
-//! queue is full, the accept thread blocks and the kernel's listen backlog
-//! absorbs the burst.
+//! queue is full, the accept thread answers the new connection `503` with
+//! `Retry-After` itself — one non-blocking write, so a slow peer cannot
+//! stall `accept` — instead of blocking. Workers bound every socket read
+//! and write by the configured socket timeout, so a client that stops
+//! sending or stops reading frees its worker when the timeout expires.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] raises a flag and
 //! pokes the listener with a loopback connect so `accept` wakes up,
@@ -13,15 +16,15 @@
 //! and exits on the channel's disconnect. Dropping the handle shuts down
 //! too, so tests cannot leak servers.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::{io, thread};
 
-use crate::error::http_error_response;
+use crate::error::{http_error_response, ApiError};
 use crate::http::read_request;
 use crate::routes;
 use crate::state::{AppState, ServerConfig};
@@ -62,6 +65,7 @@ impl Server {
 
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
+            let state = Arc::clone(&state);
             thread::Builder::new()
                 .name("terrain-accept".to_string())
                 .spawn(move || {
@@ -72,11 +76,14 @@ impl Server {
                             break;
                         }
                         match stream {
-                            Ok(stream) => {
-                                if sender.send(stream).is_err() {
-                                    break;
+                            Ok(stream) => match sender.try_send(stream) {
+                                Ok(()) => {}
+                                Err(TrySendError::Full(stream)) => {
+                                    state.rejected_connections.fetch_add(1, Ordering::Relaxed);
+                                    reject_busy(stream);
                                 }
-                            }
+                                Err(TrySendError::Disconnected(_)) => break,
+                            },
                             // Transient accept errors (aborted handshakes,
                             // fd pressure) must not kill the server.
                             Err(_) => continue,
@@ -96,6 +103,37 @@ impl Server {
     }
 }
 
+/// Answer a connection the full queue cannot take: `503` with
+/// `Retry-After`, written once on a non-blocking socket (a fresh socket's
+/// send buffer takes the whole reply; a peer that cannot receive it gets
+/// nothing), then close. Request bytes that already arrived are drained
+/// first (at most [`REJECT_DRAIN_READS`] reads, so a peer that keeps
+/// sending cannot hold `accept`), so the close is a FIN rather than a
+/// reset that could discard the reply.
+fn reject_busy(mut stream: TcpStream) {
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let response = ApiError::new(503, "overloaded", "every worker is busy; retry shortly")
+        .into_response()
+        .header("Retry-After", "1");
+    let mut bytes = Vec::new();
+    if response.write_to(&mut bytes).is_ok() {
+        let _ = stream.write(&bytes);
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    for _ in 0..REJECT_DRAIN_READS {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
+}
+
+/// Reads of up to 4 KiB each [`reject_busy`] spends draining a refused
+/// request.
+const REJECT_DRAIN_READS: usize = 16;
+
 fn worker_loop(state: &AppState, receiver: &Mutex<Receiver<TcpStream>>) {
     loop {
         // Hold the receiver lock only for the dequeue, never during a
@@ -112,7 +150,8 @@ fn worker_loop(state: &AppState, receiver: &Mutex<Receiver<TcpStream>>) {
 /// failure on the way out is the peer's problem — never this thread's.
 fn handle_connection(state: &AppState, stream: TcpStream) {
     state.in_flight.fetch_add(1, Ordering::SeqCst);
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
+    let _ = stream.set_read_timeout(Some(state.config.socket_timeout));
+    let _ = stream.set_write_timeout(Some(state.config.socket_timeout));
     let _ = stream.set_nodelay(true);
 
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -132,10 +171,13 @@ fn handle_connection(state: &AppState, stream: TcpStream) {
             if response.status >= 400 {
                 state.error_responses.fetch_add(1, Ordering::Relaxed);
             }
-            state.requests_served.fetch_add(1, Ordering::Relaxed);
             let mut writer = BufWriter::new(&stream);
-            // The peer may have vanished; writing is best-effort.
-            let _ = response.write_to(&mut writer).and_then(|()| writer.flush());
+            // The peer may have vanished or stopped reading; the write
+            // timeout bounds the attempt, and a failed write is a drop.
+            match response.write_to(&mut writer).and_then(|()| writer.flush()) {
+                Ok(()) => state.requests_served.fetch_add(1, Ordering::Relaxed),
+                Err(_) => state.dropped_connections.fetch_add(1, Ordering::Relaxed),
+            };
         }
         None => {
             state.dropped_connections.fetch_add(1, Ordering::Relaxed);

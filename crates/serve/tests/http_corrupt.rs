@@ -9,20 +9,21 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use graph_terrain::SharedGraph;
 use serve::state::{AppState, ServerConfig};
 use serve::{Server, ServerHandle};
 use ugraph::GraphBuilder;
 
-/// A small server with a tight read timeout so silent-client tests finish
+/// A small server with a tight socket timeout so silent-client tests finish
 /// quickly.
 fn boot() -> ServerHandle {
     let config = ServerConfig {
         workers: 4,
-        read_timeout: Duration::from_millis(300),
+        socket_timeout: Duration::from_millis(300),
         max_body_bytes: 1 << 20,
         ..ServerConfig::default()
     };
@@ -105,7 +106,7 @@ fn silent_clients_time_out_without_taking_down_a_worker() {
     // after the read timeout rather than leak.
     let idlers: Vec<TcpStream> =
         (0..3).map(|_| TcpStream::connect(addr).expect("connect")).collect();
-    std::thread::sleep(Duration::from_millis(600)); // > read_timeout
+    std::thread::sleep(Duration::from_millis(600)); // > socket_timeout
     assert_alive(addr);
     drop(idlers);
     server.shutdown();
@@ -201,5 +202,92 @@ fn binary_garbage_and_instant_disconnects_never_kill_the_server() {
         dropped + errors > 0,
         "abuse must show up in the counters (dropped={dropped}, errors={errors})"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_frees_its_worker_after_the_socket_timeout() {
+    let timeout = Duration::from_millis(500);
+    let config = ServerConfig { workers: 1, socket_timeout: timeout, ..ServerConfig::default() };
+    let state = Arc::new(AppState::new(config));
+    let graph = SharedGraph::new(ugraph::generators::rmat(14, 120_000, 7));
+    state.insert_graph(Some("big".into()), graph).unwrap();
+    let server = Server::bind_with_state("127.0.0.1:0", state).expect("bind ephemeral");
+    let addr = server.addr();
+
+    // A multi-MB artifact, far past what the socket buffers absorb, asked
+    // for by a client that never reads a byte of it.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .write_all(
+            b"GET /graphs/big/terrain?measure=pagerank&budget=none&format=json HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+    let state = server.state();
+    while state.cache.lock().unwrap().is_empty() {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let artifact_bytes = state.cache.lock().unwrap().stats().bytes;
+    assert!(artifact_bytes > 12 << 20, "the artifact must outgrow the socket buffers");
+
+    // The only worker is now blocked writing to the stalled client; a
+    // second client is served once the write times out.
+    let rendered = Instant::now();
+    let mut second = TcpStream::connect(addr).expect("connect");
+    second.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    second.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut response = Vec::new();
+    let _ = second.read_to_end(&mut response);
+    assert_eq!(status_of(&response), Some(200));
+    let waited = rendered.elapsed();
+    assert!(waited < timeout * 8, "the stalled client held the worker for {waited:?}");
+    assert_eq!(state.dropped_connections.load(Ordering::Relaxed), 1, "the stalled write is a drop");
+    drop(stalled);
+    server.shutdown();
+}
+
+#[test]
+fn a_full_queue_answers_503_with_retry_after_instead_of_blocking_accept() {
+    let config = ServerConfig {
+        workers: 1,
+        pending_connections: 1,
+        socket_timeout: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral");
+    let addr = server.addr();
+    let state = server.state();
+
+    // A silent client occupies the only worker, a second fills the one
+    // queue slot...
+    let busy = TcpStream::connect(addr).expect("connect");
+    while state.in_flight.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let queued = TcpStream::connect(addr).expect("connect");
+
+    // ...so the third is refused by the accept loop at once, long before
+    // the worker's socket timeout would free it.
+    let started = Instant::now();
+    let response = send_raw(addr, b"GET /healthz HTTP/1.1\r\n\r\n");
+    let waited = started.elapsed();
+    assert_eq!(status_of(&response), Some(503), "{}", String::from_utf8_lossy(&response));
+    let text = String::from_utf8_lossy(&response).to_ascii_lowercase();
+    assert!(text.contains("\r\nretry-after: 1\r\n"), "{text}");
+    assert!(text.contains("\"overloaded\""), "{text}");
+    assert!(waited < Duration::from_secs(1), "the 503 took {waited:?}");
+    assert_eq!(state.rejected_connections.load(Ordering::Relaxed), 1);
+
+    // Once the worker has finished with both, the queue has room again.
+    drop(busy);
+    drop(queued);
+    let handled = || {
+        state.requests_served.load(Ordering::Relaxed)
+            + state.dropped_connections.load(Ordering::Relaxed)
+    };
+    while handled() < 2 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_alive(addr);
     server.shutdown();
 }

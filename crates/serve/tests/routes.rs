@@ -4,12 +4,13 @@
 //! `Parallelism::parse` / `exporter_by_name` 400 mappings), the registry
 //! protocol, and the cache headers.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use graph_terrain::SharedGraph;
+use graph_terrain::{Measure, SharedGraph, TerrainPipeline};
+use measures::Parallelism;
 use serve::http::{parse_query, Method, Request};
 use serve::routes;
-use serve::state::{AppState, ServerConfig};
+use serve::state::{AppState, ServerConfig, MAX_STAGE_SETS};
 use ugraph::GraphBuilder;
 
 fn state_with_graph() -> Arc<AppState> {
@@ -216,6 +217,18 @@ fn peaks_returns_the_clique_and_stats_reflects_traffic() {
     assert_eq!(cache.get("misses").and_then(|v| v.as_u64()), Some(1));
     let totals = doc.get("stage_seconds").expect("stage_seconds object");
     assert_eq!(totals.get("renders").and_then(|v| v.as_u64()), Some(1));
+
+    // A terrain miss of the same measure reuses the peaks' stage set, and
+    // its export is timed: `svg` is non-zero once an artifact is served.
+    assert_eq!(routes::handle(&state, &get("/graphs/g/terrain")).status, 200);
+    let doc = body_json(&routes::handle(&state, &get("/stats")));
+    let totals = doc.get("stage_seconds").expect("stage_seconds object");
+    assert_eq!(totals.get("renders").and_then(|v| v.as_u64()), Some(2));
+    assert!(totals.get("svg").and_then(|v| v.as_f64()).unwrap() > 0.0, "{totals:?}");
+    let sets = doc.get("stage_sets").expect("stage_sets object");
+    assert_eq!(sets.get("builds").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(sets.get("reuses").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(sets.get("resident").and_then(|v| v.as_u64()), Some(1));
 }
 
 #[test]
@@ -511,4 +524,162 @@ fn betweenness_sampling_parameters_key_the_cache() {
     assert_eq!(b.status, 200);
     assert_eq!(b.header_value("x-cache"), Some("miss"), "a new seed is a new artifact");
     assert_ne!(a.header_value("etag"), b.header_value("etag"));
+}
+
+/// A graph big enough that a stage-set build takes a while: concurrent
+/// misses really overlap it.
+fn state_with_ba_graph(n: usize) -> (Arc<AppState>, SharedGraph) {
+    let state = Arc::new(AppState::new(ServerConfig::default()));
+    let graph = SharedGraph::new(ugraph::generators::barabasi_albert(n, 3, 11));
+    state.insert_graph(Some("g".into()), graph.clone()).unwrap();
+    (state, graph)
+}
+
+fn stage_sets(state: &AppState) -> serde_json::Value {
+    let doc = body_json(&routes::handle(state, &get("/stats")));
+    doc.get("stage_sets").expect("stage_sets object").clone()
+}
+
+fn count(doc: &serde_json::Value, key: &str) -> u64 {
+    doc.get(key).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("no {key} in {doc:?}"))
+}
+
+#[test]
+fn concurrent_misses_of_one_measure_build_one_stage_set() {
+    let (state, _) = state_with_ba_graph(4000);
+    let clients = 8;
+    let barrier = Barrier::new(clients);
+    let tiles: Vec<serve::Response> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..clients)
+            .map(|i| {
+                let (state, barrier) = (&state, &barrier);
+                scope.spawn(move || {
+                    let target = format!("/graphs/g/tiles/3/{}/{}", i % 8, i / 8);
+                    barrier.wait();
+                    routes::handle(state, &get(&target))
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for tile in &tiles {
+        assert_eq!(tile.status, 200);
+        assert_eq!(tile.header_value("x-cache"), Some("miss"), "distinct tiles are distinct keys");
+    }
+    let sets = stage_sets(&state);
+    assert_eq!(count(&sets, "builds"), 1, "{sets:?}");
+    assert_eq!(count(&sets, "reuses") + count(&sets, "waits"), clients as u64 - 1, "{sets:?}");
+    assert_eq!(count(&sets, "resident"), 1);
+
+    // Exactly one scalar time was absorbed: the build's own.
+    let entry = state.graph("g").unwrap();
+    let set = state.stage_set(&entry, &Measure::KCore, Parallelism::Serial).unwrap();
+    let totals = state.stage_totals.lock().unwrap().clone();
+    assert_eq!(totals.renders, clients as u64);
+    assert_eq!(Some(totals.scalar_seconds), set.timings().scalar_seconds);
+    assert_eq!(Some(totals.scene_seconds), set.timings().scene_seconds);
+}
+
+#[test]
+fn deltas_and_deletes_retire_stage_sets_and_later_renders_match_a_fresh_upload() {
+    let state = state_with_graph();
+    let targets = [
+        "/graphs/g/tiles/0/0/0",
+        "/graphs/g/tiles/1/1/0?format=scene",
+        "/graphs/g/terrain",
+        "/graphs/g/terrain?measure=degree&format=json",
+        "/graphs/g/peaks",
+    ];
+    for target in targets {
+        assert_eq!(routes::handle(&state, &get(target)).status, 200, "{target}");
+    }
+    assert_eq!(count(&stage_sets(&state), "resident"), 2, "one set per measure");
+
+    let applied = routes::handle(&state, &post("/graphs/g/deltas", b"6 7\n3 6\n".to_vec()));
+    assert_eq!(applied.status, 200);
+    assert_eq!(count(&stage_sets(&state), "resident"), 0, "a structural delta retires the sets");
+
+    let mutated: Vec<_> = targets.iter().map(|t| routes::handle(&state, &get(t))).collect();
+    let entry = state.graph("g").unwrap();
+    let edges: String =
+        entry.graph.storage().edges().map(|e| format!("{} {}\n", e.u, e.v)).collect();
+    assert_eq!(routes::handle(&state, &post("/graphs?id=fresh", edges.into_bytes())).status, 201);
+    for (target, served) in targets.iter().zip(&mutated) {
+        let fresh = routes::handle(&state, &get(&target.replace("/g/", "/fresh/")));
+        assert_eq!(served.status, 200, "{target}");
+        assert_eq!(served.header_value("x-cache"), Some("miss"), "{target}");
+        if target.contains("peaks") {
+            // The peaks body names its graph; everything else must agree.
+            let (a, b) = (body_json(served), body_json(&fresh));
+            assert_eq!(a.get("peaks"), b.get("peaks"), "{target}");
+        } else {
+            assert_eq!(served.body, fresh.body, "{target}");
+        }
+    }
+    assert_eq!(count(&stage_sets(&state), "resident"), 4, "two measures on two graphs");
+
+    assert_eq!(routes::handle(&state, &delete("/graphs/g")).status, 200);
+    assert_eq!(count(&stage_sets(&state), "resident"), 2, "DELETE retires only its own sets");
+    assert_eq!(routes::handle(&state, &delete("/graphs/fresh")).status, 200);
+    assert_eq!(count(&stage_sets(&state), "resident"), 0);
+}
+
+#[test]
+fn resident_stage_sets_never_exceed_the_bound() {
+    let state = state_with_graph();
+    let seeds = MAX_STAGE_SETS as u64 + 3;
+    for seed in 0..seeds {
+        let target = format!("/graphs/g/terrain?measure=betweenness&samples=3&seed={seed}");
+        assert_eq!(routes::handle(&state, &get(&target)).status, 200);
+        let resident = count(&stage_sets(&state), "resident");
+        assert!(resident <= MAX_STAGE_SETS as u64, "{resident} sets after seed {seed}");
+    }
+    let sets = stage_sets(&state);
+    assert_eq!(count(&sets, "builds"), seeds, "every seed is its own set");
+    assert_eq!(count(&sets, "resident"), MAX_STAGE_SETS as u64);
+    assert_eq!(count(&sets, "max_resident"), MAX_STAGE_SETS as u64);
+    // The least recently used set went first: the first seed rebuilds, the
+    // newest is reused.
+    let newest = format!("/graphs/g/peaks?measure=betweenness&samples=3&seed={}", seeds - 1);
+    assert_eq!(routes::handle(&state, &get(&newest)).status, 200);
+    assert_eq!(count(&stage_sets(&state), "builds"), seeds);
+    let oldest = "/graphs/g/peaks?measure=betweenness&samples=3&seed=0";
+    assert_eq!(routes::handle(&state, &get(oldest)).status, 200);
+    assert_eq!(count(&stage_sets(&state), "builds"), seeds + 1);
+}
+
+#[test]
+fn terrains_rendered_from_a_reused_stage_set_match_a_fresh_pipeline() {
+    let (state, graph) = state_with_ba_graph(1500);
+    // The tile builds the degree set; every terrain below reuses it.
+    assert_eq!(routes::handle(&state, &get("/graphs/g/tiles/0/0/0?measure=degree")).status, 200);
+    let budget = graph_terrain::SimplificationConfig { node_budget: Some(10), levels: 4 };
+    let cases = [
+        ("threads=serial", "svg", Parallelism::Serial, None),
+        ("format=json&threads=2x64", "json", Parallelism::Threads(2), None),
+        ("format=obj&budget=10&levels=4&threads=2", "obj", Parallelism::Threads(2), Some(budget)),
+    ];
+    for (query, exporter, parallelism, simplification) in cases {
+        let served =
+            routes::handle(&state, &get(&format!("/graphs/g/terrain?measure=degree&{query}")));
+        assert_eq!(served.status, 200, "{query}");
+        assert_eq!(served.header_value("x-cache"), Some("miss"), "{query}");
+        let mut fresh = TerrainPipeline::from_shared(graph.clone(), Measure::Degree);
+        fresh.set_parallelism(parallelism);
+        if let Some(simplification) = simplification {
+            fresh.set_simplification(simplification);
+        }
+        let exporter = terrain::exporter_by_name_sized(exporter, 900.0, 700.0).unwrap();
+        let mut expected = Vec::new();
+        fresh.render_deterministic_to(exporter.as_ref(), &mut expected).unwrap();
+        assert_eq!(served.body, expected, "{query}");
+    }
+    let sets = stage_sets(&state);
+    assert_eq!((count(&sets, "builds"), count(&sets, "reuses")), (1, cases.len() as u64));
+    // The stages the reuses skipped were never timed again.
+    let totals = state.stage_totals.lock().unwrap().clone();
+    let entry = state.graph("g").unwrap();
+    let set = state.stage_set(&entry, &Measure::Degree, Parallelism::Serial).unwrap();
+    assert_eq!(Some(totals.tree_seconds), set.timings().tree_seconds);
+    assert!(totals.layout_seconds > 0.0 && totals.svg_seconds > 0.0);
 }

@@ -66,8 +66,8 @@ pub use ugraph;
 mod pipeline;
 
 pub use pipeline::{
-    DeltaReport, FieldKind, Measure, MeasureInfo, SharedGraph, SimplificationConfig, StageTimings,
-    SvgSize, TerrainParts, TerrainPipeline, TerrainStages, MEASURES,
+    DeltaReport, FieldKind, Measure, MeasureInfo, SharedGraph, SimplificationConfig, StageSet,
+    StageTimings, SvgSize, TerrainParts, TerrainPipeline, TerrainStages, MEASURES,
 };
 pub use terrain::{
     decode_gtsc, GtscDocument, GtscHeader, GtscItem, LodConfig, Rect, Scene, SceneItem,
@@ -85,7 +85,7 @@ use ugraph::{CsrGraph, GraphError, Result};
 /// Convenience prelude for downstream users and the examples.
 pub mod prelude {
     pub use crate::{
-        DeltaReport, FieldKind, Measure, MeasureInfo, SharedGraph, SimplificationConfig,
+        DeltaReport, FieldKind, Measure, MeasureInfo, SharedGraph, SimplificationConfig, StageSet,
         StageTimings, SvgSize, TerrainError, TerrainParts, TerrainPipeline, TerrainResult,
         TerrainStages, MEASURES,
     };

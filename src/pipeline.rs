@@ -31,6 +31,14 @@
 //! SVG knobs never invalidate it; [`set_layout`] and anything that rebuilds
 //! the tree do.
 //!
+//! The measure-dependent upstream stages — scalar field, super tree and
+//! scene — are held behind `Arc`s. A [`StageSet`] packages them once per
+//! (graph, measure), and [`TerrainPipeline::from_stage_set`] starts a
+//! session that already holds them: it runs only simplify → layout → mesh
+//! → export, over the same stage code a from-scratch session runs, without
+//! copying the tree. This is how the terrain server builds each graph
+//! generation's whole-graph stages once for all its render routes.
+//!
 //! [`apply_delta`]: TerrainPipeline::apply_delta
 //! [`set_scalar`]: TerrainPipeline::set_scalar
 //! [`set_simplification`]: TerrainPipeline::set_simplification
@@ -41,6 +49,7 @@
 //! [`set_lod`]: TerrainPipeline::set_lod
 //! [`set_parallelism`]: TerrainPipeline::set_parallelism
 //! [`scene`]: TerrainPipeline::scene
+//! [`StageSet`]: crate::StageSet
 //!
 //! Every stage accessor returns `Result<_, TerrainError>` — no stage panics
 //! on bad input — and the session records wall-clock [`StageTimings`]
@@ -337,7 +346,9 @@ pub struct StageTimings {
     pub layout_seconds: Option<f64>,
     /// The 3D mesh extrusion (incl. coloring).
     pub mesh_seconds: Option<f64>,
-    /// SVG serialization.
+    /// SVG serialization: the cached [`TerrainPipeline::svg`] stage, or the
+    /// latest [`TerrainPipeline::render_deterministic_to`] export through
+    /// any backend.
     pub svg_seconds: Option<f64>,
     /// The retained LOD scene build (layout pass + quadtree index).
     pub scene_seconds: Option<f64>,
@@ -577,17 +588,19 @@ pub struct TerrainPipeline<'g> {
     lod_config: LodConfig,
     // Stage caches, upstream to downstream. `render_tree` distinguishes
     // "not computed" (outer None) from "within budget, render the super tree
-    // itself" (Some(None)) to avoid cloning unsimplified trees.
-    scalar: Option<Vec<f64>>,
+    // itself" (Some(None)) to avoid cloning unsimplified trees. The stages a
+    // `StageSet` shares are `Arc`s; a session adopting a set holds its
+    // super tree without the scalar tree it was merged from.
+    scalar: Option<Arc<Vec<f64>>>,
     scalar_tree: Option<ScalarTree>,
-    super_tree: Option<SuperScalarTree>,
+    super_tree: Option<Arc<SuperScalarTree>>,
     render_tree: Option<Option<SuperScalarTree>>,
     layout: Option<TerrainLayout>,
     mesh: Option<TerrainMesh>,
     svg: Option<String>,
     // The retained LOD scene is a side stage off the *unsimplified* super
     // tree: simplification and the mesh/SVG knobs never invalidate it.
-    scene: Option<Scene>,
+    scene: Option<Arc<Scene>>,
     timings: StageTimings,
 }
 
@@ -621,7 +634,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn vertex(graph: &'g dyn GraphStorage, scalar: Vec<f64>) -> TerrainResult<Self> {
         VertexScalarGraph::new(graph, &scalar)?;
         let mut p = Self::new(GraphStore::Borrowed(graph), FieldKind::Vertex);
-        p.scalar = Some(scalar);
+        p.scalar = Some(Arc::new(scalar));
         Ok(p)
     }
 
@@ -630,7 +643,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn edge(graph: &'g dyn GraphStorage, scalar: Vec<f64>) -> TerrainResult<Self> {
         EdgeScalarGraph::new(graph, &scalar)?;
         let mut p = Self::new(GraphStore::Borrowed(graph), FieldKind::Edge);
-        p.scalar = Some(scalar);
+        p.scalar = Some(Arc::new(scalar));
         Ok(p)
     }
 
@@ -707,6 +720,25 @@ impl<'g> TerrainPipeline<'g> {
         Ok(Self::from_shared(SharedGraph::open_mapped(path)?, measure))
     }
 
+    /// Start a measure session that already holds a [`StageSet`]'s scalar
+    /// field, super tree and scene (`Arc` clones, no copies). The session
+    /// is an ordinary [`from_shared`](Self::from_shared) session over the
+    /// set's graph and measure with the default layout and LOD
+    /// configurations; the adopted stages are simply present in its caches,
+    /// so rendering runs only simplify → layout → mesh → export, and every
+    /// knob invalidates exactly as usual.
+    ///
+    /// The adopted stages did not run in this session, so their
+    /// [`timings`](Self::timings) read `None`; the set's own
+    /// [`StageSet::timings`] recorded them once, when it was built.
+    pub fn from_stage_set(set: &StageSet) -> TerrainPipeline<'static> {
+        let mut p = Self::from_shared(set.graph.clone(), set.measure.clone());
+        p.scalar = Some(Arc::clone(&set.scalar));
+        p.super_tree = Some(Arc::clone(&set.super_tree));
+        p.scene = Some(Arc::clone(&set.scene));
+        p
+    }
+
     // ------------------------------------------------------------------
     // Knobs. Each setter invalidates exactly the stages downstream of it.
     // ------------------------------------------------------------------
@@ -733,7 +765,7 @@ impl<'g> TerrainPipeline<'g> {
             }
         }
         self.measure = None;
-        self.scalar = Some(scalar);
+        self.scalar = Some(Arc::new(scalar));
         self.timings.scalar_seconds = None;
         self.invalidate_from_tree();
         Ok(self)
@@ -920,7 +952,7 @@ impl<'g> TerrainPipeline<'g> {
                 self.timings.scalar_seconds = None;
             }
             ScalarUpdate::Set(scalar, seconds) => {
-                self.scalar = Some(scalar);
+                self.scalar = Some(Arc::new(scalar));
                 self.timings.scalar_seconds = seconds;
             }
         }
@@ -1025,7 +1057,7 @@ impl<'g> TerrainPipeline<'g> {
     /// The super scalar tree (Algorithm 2), before any simplification.
     pub fn super_tree(&mut self) -> TerrainResult<&SuperScalarTree> {
         self.ensure_super_tree()?;
-        Ok(self.super_tree.as_ref().expect("ensured"))
+        Ok(self.super_tree.as_deref().expect("ensured"))
     }
 
     /// The tree the terrain is rendered from: the super tree itself when it
@@ -1065,7 +1097,7 @@ impl<'g> TerrainPipeline<'g> {
     /// layout and the LOD configuration.
     pub fn scene(&mut self) -> TerrainResult<&Scene> {
         self.ensure_scene()?;
-        Ok(self.scene.as_ref().expect("ensured"))
+        Ok(self.scene.as_deref().expect("ensured"))
     }
 
     /// The current scene level-of-detail configuration.
@@ -1079,7 +1111,7 @@ impl<'g> TerrainPipeline<'g> {
     pub fn stages(&mut self) -> TerrainResult<TerrainStages<'_>> {
         self.ensure_mesh()?;
         Ok(TerrainStages {
-            super_tree: self.super_tree.as_ref().expect("ensured"),
+            super_tree: self.super_tree.as_deref().expect("ensured"),
             render_tree: self.render_tree_ref(),
             layout: self.layout.as_ref().expect("ensured"),
             mesh: self.mesh.as_ref().expect("ensured"),
@@ -1122,18 +1154,25 @@ impl<'g> TerrainPipeline<'g> {
     /// Backends that serialize timings (`json`, `ascii` headers) become
     /// reproducible byte-for-byte across runs — the form a
     /// content-addressed artifact cache must serve and revalidate against.
+    ///
+    /// The export itself is still timed: it lands in the session's
+    /// [`StageTimings::svg_seconds`] (whatever the backend), never in the
+    /// bytes.
     pub fn render_deterministic_to(
         &mut self,
         exporter: &dyn Exporter,
         writer: &mut dyn std::io::Write,
     ) -> TerrainResult<()> {
         self.ensure_mesh()?;
+        let started = Instant::now();
         let scene = RenderScene::new(
             self.render_tree_ref(),
             self.layout.as_ref().expect("ensured"),
             self.mesh.as_ref().expect("ensured"),
         );
-        exporter.write_to(&scene, writer)
+        exporter.write_to(&scene, writer)?;
+        self.timings.svg_seconds = Some(started.elapsed().as_secs_f64());
+        Ok(())
     }
 
     /// [`render_to`](Self::render_to) into a freshly created (buffered) file.
@@ -1175,8 +1214,8 @@ impl<'g> TerrainPipeline<'g> {
     pub fn into_parts(mut self) -> TerrainResult<TerrainParts> {
         self.ensure_mesh()?;
         Ok(TerrainParts {
-            scalar: self.scalar.take().expect("ensured"),
-            super_tree: self.super_tree.take().expect("ensured"),
+            scalar: unwrap_or_clone(self.scalar.take().expect("ensured")),
+            super_tree: unwrap_or_clone(self.super_tree.take().expect("ensured")),
             simplified: self.render_tree.take().expect("ensured"),
             layout: self.layout.take().expect("ensured"),
             mesh: self.mesh.take().expect("ensured"),
@@ -1191,7 +1230,7 @@ impl<'g> TerrainPipeline<'g> {
     fn render_tree_ref(&self) -> &SuperScalarTree {
         match self.render_tree.as_ref().expect("render tree ensured") {
             Some(simplified) => simplified,
-            None => self.super_tree.as_ref().expect("super tree ensured"),
+            None => self.super_tree.as_deref().expect("super tree ensured"),
         }
     }
 
@@ -1204,7 +1243,7 @@ impl<'g> TerrainPipeline<'g> {
         let started = Instant::now();
         let scalar = measure.compute(self.graph.get(), self.parallelism);
         self.timings.scalar_seconds = Some(started.elapsed().as_secs_f64());
-        self.scalar = Some(scalar);
+        self.scalar = Some(Arc::new(scalar));
         Ok(())
     }
 
@@ -1213,7 +1252,7 @@ impl<'g> TerrainPipeline<'g> {
         if self.scalar_tree.is_some() {
             return Ok(());
         }
-        let scalar = self.scalar.as_ref().expect("ensured");
+        let scalar = self.scalar.as_deref().expect("ensured");
         let started = Instant::now();
         let tree = match self.field {
             FieldKind::Vertex => {
@@ -1227,14 +1266,16 @@ impl<'g> TerrainPipeline<'g> {
     }
 
     fn ensure_super_tree(&mut self) -> TerrainResult<()> {
-        self.ensure_scalar_tree()?;
+        // Checked before the scalar tree: a session adopting a stage set
+        // holds the super tree without the scalar tree it came from.
         if self.super_tree.is_some() {
             return Ok(());
         }
+        self.ensure_scalar_tree()?;
         let started = Instant::now();
         let super_tree = build_super_tree(self.scalar_tree.as_ref().expect("ensured"));
         self.timings.super_tree_seconds = Some(started.elapsed().as_secs_f64());
-        self.super_tree = Some(super_tree);
+        self.super_tree = Some(Arc::new(super_tree));
         Ok(())
     }
 
@@ -1243,7 +1284,7 @@ impl<'g> TerrainPipeline<'g> {
         if self.render_tree.is_some() {
             return Ok(());
         }
-        let super_tree = self.super_tree.as_ref().expect("ensured");
+        let super_tree = self.super_tree.as_deref().expect("ensured");
         let started = Instant::now();
         let simplified = match self.simplification.node_budget {
             Some(budget) if super_tree.node_count() > budget => {
@@ -1291,12 +1332,12 @@ impl<'g> TerrainPipeline<'g> {
         }
         let started = Instant::now();
         let scene = Scene::build(
-            self.super_tree.as_ref().expect("ensured"),
+            self.super_tree.as_deref().expect("ensured"),
             &self.layout_config,
             &self.lod_config,
         )?;
         self.timings.scene_seconds = Some(started.elapsed().as_secs_f64());
-        self.scene = Some(scene);
+        self.scene = Some(Arc::new(scene));
         Ok(())
     }
 
@@ -1321,6 +1362,78 @@ impl<'g> TerrainPipeline<'g> {
         self.svg = Some(svg);
         Ok(())
     }
+}
+
+/// The whole-graph stages of one measure over one graph — scalar field,
+/// unsimplified super tree and the default-layout/LOD [`Scene`] — built
+/// once and shared immutably by `Arc`.
+///
+/// A set depends only on the graph and the measure (every measure is
+/// thread-count invariant), so any number of sessions can start from it
+/// with [`TerrainPipeline::from_stage_set`] and render at their own
+/// simplification, size, color and backend; tiles and scene documents can
+/// be written from [`scene`](Self::scene) directly. Cloning is three `Arc`
+/// bumps plus the graph handle. The set keeps its graph alive, so a
+/// registry that retires a graph should retire its sets with it.
+#[derive(Clone, Debug)]
+pub struct StageSet {
+    graph: SharedGraph,
+    measure: Measure,
+    scalar: Arc<Vec<f64>>,
+    super_tree: Arc<SuperScalarTree>,
+    scene: Arc<Scene>,
+    timings: StageTimings,
+}
+
+impl StageSet {
+    /// Compute the set through an ordinary session over `graph` (the
+    /// measure under `parallelism`, then the scalar tree, super tree and
+    /// scene). The scalar tree is dropped once the super tree is merged.
+    pub fn build(
+        graph: SharedGraph,
+        measure: Measure,
+        parallelism: Parallelism,
+    ) -> TerrainResult<StageSet> {
+        let mut session = TerrainPipeline::from_shared(graph.clone(), measure.clone());
+        session.set_parallelism(parallelism);
+        session.ensure_scene()?;
+        Ok(StageSet {
+            graph,
+            measure,
+            scalar: session.scalar.take().expect("ensured"),
+            super_tree: session.super_tree.take().expect("ensured"),
+            scene: session.scene.take().expect("ensured"),
+            timings: session.timings,
+        })
+    }
+
+    /// The scalar field.
+    pub fn scalar(&self) -> &[f64] {
+        &self.scalar
+    }
+
+    /// The unsimplified super tree.
+    pub fn super_tree(&self) -> &SuperScalarTree {
+        &self.super_tree
+    }
+
+    /// The retained LOD scene at the default layout and LOD configurations.
+    pub fn scene(&self) -> &Scene {
+        &self.scene
+    }
+
+    /// What building the set cost: the scalar, tree, super-tree and scene
+    /// stages; every other stage is `None`.
+    pub fn timings(&self) -> StageTimings {
+        self.timings
+    }
+}
+
+/// The value behind `arc`, moved out when this is the last handle and
+/// cloned otherwise (`Arc::unwrap_or_clone`, which is newer than the
+/// workspace's minimum Rust version).
+fn unwrap_or_clone<T: Clone>(arc: Arc<T>) -> T {
+    Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// Exact incremental update of a computed measure scalar across a delta.
@@ -1711,6 +1824,54 @@ mod tests {
         session.set_simplification(SimplificationConfig::disabled());
         assert_eq!(session.render_tree().unwrap().node_count(), full_nodes);
         assert_eq!(session.timings().super_tree_seconds, super_time, "super tree reused");
+    }
+
+    #[test]
+    fn stage_set_sessions_match_fresh_sessions_without_rerunning_upstream_stages() {
+        let shared = SharedGraph::new(ugraph::generators::barabasi_albert(600, 3, 5));
+        let set =
+            StageSet::build(shared.clone(), Measure::Degree, Parallelism::Threads(2)).unwrap();
+        let built = set.timings();
+        assert!(built.scalar_seconds.is_some() && built.super_tree_seconds.is_some());
+        assert!(built.scene_seconds.is_some());
+        assert!(built.layout_seconds.is_none() && built.svg_seconds.is_none());
+
+        for simplification in [
+            SimplificationConfig::default(),
+            SimplificationConfig { node_budget: Some(10), levels: 4 },
+        ] {
+            let mut fresh = TerrainPipeline::from_shared(shared.clone(), Measure::Degree);
+            let mut adopted = TerrainPipeline::from_stage_set(&set);
+            let (mut expected, mut served) = (Vec::new(), Vec::new());
+            fresh.set_simplification(simplification);
+            adopted.set_simplification(simplification);
+            fresh.render_deterministic_to(&terrain::JsonScene, &mut expected).unwrap();
+            adopted.render_deterministic_to(&terrain::JsonScene, &mut served).unwrap();
+            assert_eq!(served, expected);
+            let t = adopted.timings();
+            assert_eq!(
+                (t.scalar_seconds, t.tree_seconds, t.super_tree_seconds),
+                (None, None, None)
+            );
+            assert!(t.layout_seconds.is_some(), "downstream stages run per session");
+            assert!(t.svg_seconds.is_some(), "the deterministic export is timed");
+        }
+
+        // Tiles written straight from the set's scene equal a fresh
+        // session's, and adopting a set shares its stages instead of
+        // copying them.
+        let mut fresh = TerrainPipeline::from_shared(shared, Measure::Degree);
+        let key = terrain::TileKey { zoom: 1, tx: 0, ty: 1 };
+        let (mut expected, mut served) = (Vec::new(), Vec::new());
+        fresh.scene().unwrap().write_tile_svg(&key, 256, &mut expected).unwrap();
+        set.scene().write_tile_svg(&key, 256, &mut served).unwrap();
+        assert_eq!(served, expected);
+        let mut adopted = TerrainPipeline::from_stage_set(&set);
+        assert!(std::ptr::eq(adopted.super_tree().unwrap(), set.super_tree()));
+        assert!(std::ptr::eq(adopted.scene().unwrap(), set.scene()));
+        assert_eq!(adopted.scalar().unwrap(), set.scalar());
+        // The scalar tree the set dropped is rebuilt on demand.
+        assert_eq!(adopted.scalar_tree().unwrap().len(), 600);
     }
 
     #[test]
