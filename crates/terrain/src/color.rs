@@ -25,7 +25,19 @@ impl Color {
 
     /// CSS hex representation, e.g. `#ff7f00`.
     pub fn hex(&self) -> String {
-        format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
+        self.hex_bytes().iter().map(|&b| char::from(b)).collect()
+    }
+
+    /// [`hex`](Self::hex) as ASCII bytes, without allocating — what the
+    /// streaming exporters write.
+    pub fn hex_bytes(&self) -> [u8; 7] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [b'#'; 7];
+        for (i, channel) in [self.r, self.g, self.b].into_iter().enumerate() {
+            out[1 + 2 * i] = DIGITS[usize::from(channel >> 4)];
+            out[2 + 2 * i] = DIGITS[usize::from(channel & 0xf)];
+        }
+        out
     }
 
     /// Linear interpolation between two colors.
@@ -173,6 +185,17 @@ mod tests {
         assert_eq!(c.hex(), "#ff8000");
         let d = c.darkened(0.5);
         assert_eq!(d, Color::rgb(127, 64, 0));
+    }
+
+    #[test]
+    fn hex_bytes_match_the_formatted_hex_for_every_channel_value() {
+        for v in 0..=255u8 {
+            for c in [Color::rgb(v, 0, 0), Color::rgb(0, v, 0), Color::rgb(0, 0, v)] {
+                let expected = format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b);
+                assert_eq!(&c.hex_bytes(), expected.as_bytes());
+                assert_eq!(c.hex(), expected);
+            }
+        }
     }
 
     #[test]

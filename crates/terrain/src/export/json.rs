@@ -18,21 +18,15 @@
 //! }
 //! ```
 
+use super::chunk::ChunkWriter;
 use super::{Exporter, RenderScene};
 use crate::error::TerrainResult;
+use std::io::Write;
 
 /// The JSON backend: streams mesh + layout + tree + timings for consumption
 /// by web frontends (or anything else that speaks JSON).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct JsonScene;
-
-/// JSON-format a float: `f64`'s `Display` is already the shortest decimal
-/// that round-trips, and every scene value is finite (enforced upstream), so
-/// no special casing is needed beyond making integers explicit floats — which
-/// JSON does not require either. `1` parses as the number 1.
-fn num(value: f64) -> String {
-    value.to_string()
-}
 
 impl Exporter for JsonScene {
     fn name(&self) -> &'static str {
@@ -48,6 +42,11 @@ impl Exporter for JsonScene {
         let layout = scene.layout;
         let mesh = scene.mesh;
 
+        // Every float goes through `f64`'s `Display`, already the shortest
+        // decimal that round-trips; every scene value is finite (enforced
+        // upstream), so no special casing is needed. `1` parses as the
+        // number 1.
+        let mut out = ChunkWriter::new(out);
         writeln!(out, "{{")?;
         writeln!(
             out,
@@ -63,7 +62,7 @@ impl Exporter for JsonScene {
             if i > 0 {
                 write!(out, ", ")?;
             }
-            write!(out, "{}", num(*s))?;
+            write!(out, "{s}")?;
         }
         write!(out, "], \"parents\": [")?;
         for (i, p) in tree.parents().iter().enumerate() {
@@ -88,19 +87,11 @@ impl Exporter for JsonScene {
         writeln!(
             out,
             "  \"layout\": {{\"width\": {}, \"height\": {}, \"rects\": [",
-            num(layout.config.width),
-            num(layout.config.height)
+            layout.config.width, layout.config.height
         )?;
         for (i, r) in layout.rects.iter().enumerate() {
             let comma = if i + 1 < layout.rects.len() { "," } else { "" };
-            writeln!(
-                out,
-                "    [{}, {}, {}, {}]{comma}",
-                num(r.x0),
-                num(r.y0),
-                num(r.x1),
-                num(r.y1)
-            )?;
+            writeln!(out, "    [{}, {}, {}, {}]{comma}", r.x0, r.y0, r.x1, r.y1)?;
         }
         writeln!(out, "  ]}},")?;
 
@@ -108,21 +99,18 @@ impl Exporter for JsonScene {
         writeln!(out, "  \"mesh\": {{\"vertices\": [")?;
         for (i, v) in mesh.vertices.iter().enumerate() {
             let comma = if i + 1 < mesh.vertices.len() { "," } else { "" };
-            writeln!(out, "    [{}, {}, {}]{comma}", num(v.x), num(v.y), num(v.z))?;
+            writeln!(out, "    [{}, {}, {}]{comma}", v.x, v.y, v.z)?;
         }
         writeln!(out, "  ], \"triangles\": [")?;
         for (i, t) in mesh.triangles.iter().enumerate() {
             let comma = if i + 1 < mesh.triangles.len() { "," } else { "" };
-            writeln!(
+            write!(
                 out,
-                "    {{\"v\": [{}, {}, {}], \"color\": \"{}\", \"node\": {}, \"top\": {}}}{comma}",
-                t.indices[0],
-                t.indices[1],
-                t.indices[2],
-                t.color.hex(),
-                t.node,
-                t.is_top
+                "    {{\"v\": [{}, {}, {}], \"color\": \"",
+                t.indices[0], t.indices[1], t.indices[2]
             )?;
+            out.write_all(&t.color.hex_bytes())?;
+            writeln!(out, "\", \"node\": {}, \"top\": {}}}{comma}", t.node, t.is_top)?;
         }
         writeln!(out, "  ]}},")?;
 
@@ -132,10 +120,11 @@ impl Exporter for JsonScene {
             if i > 0 {
                 write!(out, ", ")?;
             }
-            write!(out, "{{\"stage\": \"{}\", \"seconds\": {}}}", t.stage, num(t.seconds))?;
+            write!(out, "{{\"stage\": \"{}\", \"seconds\": {}}}", t.stage, t.seconds)?;
         }
         writeln!(out, "]")?;
         writeln!(out, "}}")?;
+        out.finish()?;
         Ok(())
     }
 }

@@ -50,6 +50,7 @@
 //! ```
 
 pub mod ascii;
+mod chunk;
 pub mod json;
 pub mod obj;
 pub mod ply;

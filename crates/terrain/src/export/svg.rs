@@ -7,8 +7,9 @@
 //! is a faithful static stand-in for the paper's rotatable OpenGL view: the
 //! projection direction plays the role of the camera angle.
 
+use super::chunk::ChunkWriter;
 use super::{Exporter, RenderScene};
-use crate::error::TerrainResult;
+use crate::error::{TerrainError, TerrainResult};
 use crate::mesh::TerrainMesh;
 use crate::treemap::{build_treemap, Treemap};
 use std::io::Write;
@@ -113,43 +114,51 @@ fn write_treemap_svg(
     let sx = width_px / max_x;
     let sy = height_px / max_y;
 
+    let mut out = ChunkWriter::new(out);
     writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">"#
     )?;
     out.write_all(b"<!-- graph-terrain 2D treemap -->\n")?;
     for cell in &map.cells {
-        writeln!(
+        write!(
             out,
-            r##"  <rect x="{:.2}" y="{:.2}" width="{:.2}" height="{:.2}" fill="{}" stroke="#222222" stroke-width="0.5"><title>node {} scalar {:.3} members {}</title></rect>"##,
+            r#"  <rect x="{:.2}" y="{:.2}" width="{:.2}" height="{:.2}" fill=""#,
             cell.rect.x0 * sx,
             (max_y - cell.rect.y1) * sy,
             cell.rect.width() * sx,
             cell.rect.height() * sy,
-            cell.color.hex(),
-            cell.node,
-            cell.scalar,
-            cell.subtree_members,
+        )?;
+        out.write_all(&cell.color.hex_bytes())?;
+        writeln!(
+            out,
+            r##"" stroke="#222222" stroke-width="0.5"><title>node {} scalar {:.3} members {}</title></rect>"##,
+            cell.node, cell.scalar, cell.subtree_members,
         )?;
     }
     out.write_all(b"</svg>\n")?;
+    out.finish()?;
     Ok(())
 }
 
 /// Stream a terrain mesh as an SVG document using an oblique projection.
+///
+/// The cost tracks the bytes written: each triangle's depth key is computed
+/// once, and every polygon goes straight into one reused chunk buffer, its
+/// coordinates through the exact `{:.2}` writer of [`ChunkWriter::fixed2`].
 fn write_terrain_svg(
     mesh: &TerrainMesh,
     width_px: f64,
     height_px: f64,
     out: &mut dyn Write,
 ) -> TerrainResult<()> {
-    let Some((min, max)) = mesh.bounds() else {
+    if mesh.vertices.is_empty() {
         writeln!(
             out,
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}"/>"#
         )?;
         return Ok(());
-    };
+    }
 
     // Oblique projection parameters.
     let depth = 0.45f64;
@@ -165,7 +174,6 @@ fn write_terrain_svg(
         pmin = (pmin.0.min(p.0), pmin.1.min(p.1));
         pmax = (pmax.0.max(p.0), pmax.1.max(p.1));
     }
-    let _ = (min, max);
     let span_x = (pmax.0 - pmin.0).max(1e-9);
     let span_y = (pmax.1 - pmin.1).max(1e-9);
     let scale = (width_px / span_x).min(height_px / span_y) * 0.95;
@@ -176,44 +184,53 @@ fn write_terrain_svg(
         )
     };
 
-    // Painter's algorithm: sort triangles by depth (far to near), then height.
-    let mut order: Vec<usize> = (0..mesh.triangles.len()).collect();
-    let depth_key = |i: usize| -> (f64, f64) {
-        let t = &mesh.triangles[i];
-        let mean_y = t.indices.iter().map(|&v| mesh.vertices[v as usize].y).sum::<f64>() / 3.0;
-        let mean_z = t.indices.iter().map(|&v| mesh.vertices[v as usize].z).sum::<f64>() / 3.0;
-        (mean_y, mean_z)
-    };
+    // Painter's algorithm: sort triangles by depth (far to near), then
+    // height. Each `(mean_y, mean_z)` key is computed once; the sort is
+    // stable, so ties keep triangle order.
+    let keys: Vec<(f64, f64)> = mesh
+        .triangles
+        .iter()
+        .map(|t| {
+            let mean_y = t.indices.iter().map(|&v| mesh.vertices[v as usize].y).sum::<f64>() / 3.0;
+            let mean_z = t.indices.iter().map(|&v| mesh.vertices[v as usize].z).sum::<f64>() / 3.0;
+            (mean_y, mean_z)
+        })
+        .collect();
+    let triangle_count = u32::try_from(keys.len()).map_err(|_| TerrainError::Mesh {
+        message: format!("{} triangles exceed the SVG exporter's u32 order", keys.len()),
+    })?;
+    let mut order: Vec<u32> = (0..triangle_count).collect();
     order.sort_by(|&a, &b| {
-        let (ya, za) = depth_key(a);
-        let (yb, zb) = depth_key(b);
+        let (ya, za) = keys[a as usize];
+        let (yb, zb) = keys[b as usize];
         yb.total_cmp(&ya).then(za.total_cmp(&zb))
     });
 
+    let mut out = ChunkWriter::new(out);
     writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">"#
     )?;
     out.write_all(b"<!-- graph-terrain 3D terrain (oblique projection) -->\n")?;
     for i in order {
-        let t = &mesh.triangles[i];
-        let pts: Vec<String> = t
-            .indices
-            .iter()
-            .map(|&v| {
-                let vert = &mesh.vertices[v as usize];
-                let p = to_px(project(vert.x, vert.y, vert.z));
-                format!("{:.2},{:.2}", p.0, p.1)
-            })
-            .collect();
-        writeln!(
-            out,
-            r#"  <polygon points="{}" fill="{}" stroke="none"/>"#,
-            pts.join(" "),
-            t.color.hex()
-        )?;
+        let t = &mesh.triangles[i as usize];
+        out.write_all(b"  <polygon points=\"")?;
+        for (k, &v) in t.indices.iter().enumerate() {
+            if k > 0 {
+                out.write_all(b" ")?;
+            }
+            let vert = &mesh.vertices[v as usize];
+            let (x, y) = to_px(project(vert.x, vert.y, vert.z));
+            out.fixed2(x)?;
+            out.write_all(b",")?;
+            out.fixed2(y)?;
+        }
+        out.write_all(b"\" fill=\"")?;
+        out.write_all(&t.color.hex_bytes())?;
+        out.write_all(b"\" stroke=\"none\"/>\n")?;
     }
     out.write_all(b"</svg>\n")?;
+    out.finish()?;
     Ok(())
 }
 
@@ -305,5 +322,9 @@ mod tests {
     fn empty_mesh_still_produces_valid_svg() {
         let svg = terrain_to_svg(&TerrainMesh::default(), 100.0, 100.0);
         assert!(svg.contains("<svg"));
+        assert_eq!(
+            svg,
+            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"100\" height=\"100\"/>\n"
+        );
     }
 }

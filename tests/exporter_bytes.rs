@@ -1,0 +1,105 @@
+//! Exporter bytes pinned across versions.
+//!
+//! Every other byte-identity gate compares two outputs of the same build
+//! (across threads, storage backends, deltas), so a change to an exporter's
+//! own bytes would pass all of them. This test pins the FNV-1a64 digest of
+//! each file-format backend's output on one fixed R-MAT graph. The constants
+//! were recorded before the exporters were optimized and must never be
+//! re-recorded to make this test pass: if one moves, the exporter is wrong.
+
+use graph_terrain::{Measure, TerrainPipeline};
+use terrain::{Ascii, ColorScheme, Exporter, JsonScene, Obj, Ply, Svg, TreemapSvg};
+use ugraph::generators::rmat;
+use ugraph::CsrGraph;
+
+/// The pinned graph: R-MAT scale 10 (1,024 vertices), 8,192 edge samples.
+fn pinned_graph() -> CsrGraph {
+    rmat(10, 8_192, 20_170_419)
+}
+
+/// FNV-1a64 over the whole output.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &b| (hash ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `(measure, colouring, backend, digest)`: the backend string names the
+/// exporter and, for the SVG backends, its pixel size.
+const PINNED: &[(&str, &str, &str, u64)] = &[
+    ("k-core", "height", "svg 900x700", 0xcac2124aab73b973),
+    ("k-core", "height", "treemap 900x700", 0xad2fa5ae3dd888a9),
+    ("k-core", "height", "svg 1600x1200", 0xe35c09776aae5d4c),
+    ("k-core", "height", "treemap 1600x1200", 0x43492bbb98752366),
+    ("k-core", "height", "json", 0x6c829fd66ef4b247),
+    ("k-core", "height", "obj", 0xe59e9e3198d8de77),
+    ("k-core", "height", "ply", 0xd43d89e1dfaea735),
+    ("k-core", "height", "ascii", 0xbfee2ef7f9d7717b),
+    ("k-core", "degree", "svg 900x700", 0x9863bf2dd2cb4fdf),
+    ("k-core", "degree", "treemap 900x700", 0xad2fa5ae3dd888a9),
+    ("k-core", "degree", "svg 1600x1200", 0x87cf20f2b3a6abca),
+    ("k-core", "degree", "treemap 1600x1200", 0x43492bbb98752366),
+    ("k-core", "degree", "json", 0xd8927f778ed79fad),
+    ("k-core", "degree", "obj", 0xe59e9e3198d8de77),
+    ("k-core", "degree", "ply", 0x469dfe3200649757),
+    ("k-core", "degree", "ascii", 0xbfee2ef7f9d7717b),
+    ("pagerank", "height", "svg 900x700", 0xdbb62b72e91d74dc),
+    ("pagerank", "height", "treemap 900x700", 0x78c6a438d29e5d98),
+    ("pagerank", "height", "svg 1600x1200", 0xe7e24bb9edfe17f8),
+    ("pagerank", "height", "treemap 1600x1200", 0xdd21b6b82c60779d),
+    ("pagerank", "height", "json", 0x901750861dcb83ff),
+    ("pagerank", "height", "obj", 0xd9821e4ef4971702),
+    ("pagerank", "height", "ply", 0x370d18cc8a57f5ac),
+    ("pagerank", "height", "ascii", 0x3f92ebe3cc7c9285),
+    ("pagerank", "degree", "svg 900x700", 0xa78d96bd1472ff98),
+    ("pagerank", "degree", "treemap 900x700", 0x78c6a438d29e5d98),
+    ("pagerank", "degree", "svg 1600x1200", 0x01323a344eb99b20),
+    ("pagerank", "degree", "treemap 1600x1200", 0xdd21b6b82c60779d),
+    ("pagerank", "degree", "json", 0x1523003859986fc1),
+    ("pagerank", "degree", "obj", 0xd9821e4ef4971702),
+    ("pagerank", "degree", "ply", 0x4168e24620f0ba24),
+    ("pagerank", "degree", "ascii", 0x3f92ebe3cc7c9285),
+];
+
+fn backends() -> Vec<(String, Box<dyn Exporter>)> {
+    let mut list: Vec<(String, Box<dyn Exporter>)> = Vec::new();
+    for (w, h) in [(900.0, 700.0), (1600.0, 1200.0)] {
+        list.push((format!("svg {w}x{h}"), Box::new(Svg::new(w, h))));
+        list.push((format!("treemap {w}x{h}"), Box::new(TreemapSvg::new(w, h))));
+    }
+    list.push(("json".into(), Box::new(JsonScene)));
+    list.push(("obj".into(), Box::new(Obj)));
+    list.push(("ply".into(), Box::new(Ply)));
+    list.push(("ascii".into(), Box::new(Ascii::default())));
+    list
+}
+
+#[test]
+fn exporter_bytes_match_the_pinned_digests() {
+    let graph = pinned_graph();
+    let degrees: Vec<f64> = measures::degrees(&graph).iter().map(|&d| d as f64).collect();
+    let mut observed = Vec::new();
+    for measure in [Measure::KCore, Measure::PageRank] {
+        let mut session = TerrainPipeline::from_measure(&graph, measure.clone());
+        for (colouring, scheme) in [
+            ("height", ColorScheme::ByHeight),
+            ("degree", ColorScheme::BySecondaryScalar(degrees.clone())),
+        ] {
+            session.set_color(scheme);
+            for (backend, exporter) in backends() {
+                let mut out = Vec::new();
+                session.render_deterministic_to(exporter.as_ref(), &mut out).unwrap();
+                observed.push((measure.name(), colouring, backend, fnv1a64(&out)));
+            }
+        }
+    }
+    let table: String = observed
+        .iter()
+        .map(|(m, c, b, h)| format!("    ({m:?}, {c:?}, {b:?}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(observed.len(), PINNED.len(), "observed digests:\n{table}");
+    for ((m, c, b, h), &(pm, pc, pb, ph)) in observed.iter().zip(PINNED) {
+        assert_eq!((*m, *c, b.as_str()), (pm, pc, pb), "case order changed:\n{table}");
+        assert_eq!(*h, ph, "{b} output changed for {m} coloured by {c}:\n{table}");
+    }
+}
