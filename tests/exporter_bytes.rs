@@ -7,7 +7,7 @@
 //! were recorded before the exporters were optimized and must never be
 //! re-recorded to make this test pass: if one moves, the exporter is wrong.
 
-use graph_terrain::{Measure, TerrainPipeline};
+use graph_terrain::{Measure, SimplificationConfig, TerrainPipeline, TileKey};
 use terrain::{Ascii, ColorScheme, Exporter, JsonScene, Obj, Ply, Svg, TreemapSvg};
 use ugraph::generators::rmat;
 use ugraph::CsrGraph;
@@ -101,5 +101,80 @@ fn exporter_bytes_match_the_pinned_digests() {
     for ((m, c, b, h), &(pm, pc, pb, ph)) in observed.iter().zip(PINNED) {
         assert_eq!((*m, *c, b.as_str()), (pm, pc, pb), "case order changed:\n{table}");
         assert_eq!(*h, ph, "{b} output changed for {m} coloured by {c}:\n{table}");
+    }
+}
+
+/// `(measure, backend, digest)` with `node_budget: Some(64)`. The default
+/// 4,000-node budget leaves the pinned graph's super tree unsimplified, so
+/// only these pins cover snapped scalar levels
+/// (`lo + (hi - lo) * bucket / (levels - 1)`), the values whose shortest
+/// round-trip digits are hardest to get right.
+const PINNED_SIMPLIFIED: &[(&str, &str, u64)] = &[
+    ("k-core", "json", 0xb0f5e8e23a2e1e59),
+    ("k-core", "svg 900x700", 0xb8528ae977c80f2d),
+    ("pagerank", "json", 0x4a69cc0ee82c4466),
+    ("pagerank", "svg 900x700", 0xb81bae1c0e78a4e1),
+];
+
+#[test]
+fn simplified_scene_exports_match_the_pinned_digests() {
+    let graph = pinned_graph();
+    let mut observed = Vec::new();
+    for measure in [Measure::KCore, Measure::PageRank] {
+        let mut session = TerrainPipeline::from_measure(&graph, measure.clone());
+        session.set_simplification(SimplificationConfig {
+            node_budget: Some(64),
+            ..Default::default()
+        });
+        let unsnapped = session.super_tree().unwrap().scalars().to_vec();
+        assert!(unsnapped.len() > 64, "{measure:?}: the super tree must exceed the budget");
+        let snapped = session.render_tree().unwrap().scalars();
+        assert_ne!(snapped, unsnapped.as_slice(), "{measure:?}: budget 64 must snap the scalars");
+        let exporters: [(&str, Box<dyn Exporter>); 2] =
+            [("json", Box::new(JsonScene)), ("svg 900x700", Box::new(Svg::new(900.0, 700.0)))];
+        for (backend, exporter) in exporters {
+            let mut out = Vec::new();
+            session.render_deterministic_to(exporter.as_ref(), &mut out).unwrap();
+            observed.push((measure.name(), backend, fnv1a64(&out)));
+        }
+    }
+    let table: String =
+        observed.iter().map(|(m, b, h)| format!("    ({m:?}, {b:?}, 0x{h:016x}),\n")).collect();
+    assert_eq!(observed.len(), PINNED_SIMPLIFIED.len(), "observed digests:\n{table}");
+    for (&(m, b, h), &(pm, pb, ph)) in observed.iter().zip(PINNED_SIMPLIFIED) {
+        assert_eq!((m, b), (pm, pb), "case order changed:\n{table}");
+        assert_eq!(h, ph, "{b} output changed for simplified {m}:\n{table}");
+    }
+}
+
+/// `(measure, tile key, digest)` for 256-pixel SVG tiles of the retained
+/// scene: the whole domain and one zoom-2 tile.
+const PINNED_TILES: &[(&str, &str, u64)] = &[
+    ("k-core", "0/0/0", 0xd7811dd653ea8d8f),
+    ("k-core", "2/1/2", 0x2f841bfe18b46d62),
+    ("pagerank", "0/0/0", 0x5ebf758eeef7e57a),
+    ("pagerank", "2/1/2", 0xc538c4116ca2d15e),
+];
+
+#[test]
+fn scene_tiles_match_the_pinned_digests() {
+    let graph = pinned_graph();
+    let mut observed = Vec::new();
+    for measure in [Measure::KCore, Measure::PageRank] {
+        let mut session = TerrainPipeline::from_measure(&graph, measure.clone());
+        let scene = session.scene().unwrap();
+        for key in [TileKey { zoom: 0, tx: 0, ty: 0 }, TileKey { zoom: 2, tx: 1, ty: 2 }] {
+            let mut out = Vec::new();
+            scene.write_tile_svg(&key, 256, &mut out).unwrap();
+            assert!(out.len() > 200, "{measure:?} tile {key} is empty");
+            observed.push((measure.name(), key.to_string(), fnv1a64(&out)));
+        }
+    }
+    let table: String =
+        observed.iter().map(|(m, k, h)| format!("    ({m:?}, {k:?}, 0x{h:016x}),\n")).collect();
+    assert_eq!(observed.len(), PINNED_TILES.len(), "observed digests:\n{table}");
+    for ((m, k, h), &(pm, pk, ph)) in observed.iter().zip(PINNED_TILES) {
+        assert_eq!((*m, k.as_str()), (pm, pk), "case order changed:\n{table}");
+        assert_eq!(*h, ph, "tile {k} changed for {m}:\n{table}");
     }
 }
