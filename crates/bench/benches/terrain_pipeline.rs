@@ -9,8 +9,8 @@ use graph_terrain::{Measure, TerrainPipeline};
 use measures::core_numbers;
 use scalarfield::{build_super_tree, simplify_super_tree, vertex_scalar_tree, VertexScalarGraph};
 use terrain::{
-    build_terrain_mesh, highest_peaks, layout_super_tree, peaks_at_alpha, Exporter, LayoutConfig,
-    MeshConfig, RenderScene, Svg,
+    build_terrain_mesh, highest_peaks, layout_super_tree, peaks_at_alpha, Exporter, JsonScene,
+    LayoutConfig, MeshConfig, RenderScene, Svg,
 };
 
 fn bench_terrain_rendering(c: &mut Criterion) {
@@ -88,31 +88,35 @@ fn bench_unsimplified_scale(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_svg_export(c: &mut Criterion) {
+fn bench_export(c: &mut Criterion) {
     // Export alone, on the mesh the 1M-edge benchmark graph renders: R-MAT
-    // scale 17 with 1M edge samples (928,487 edges), degree terrain, about
-    // 109k triangles. Layout and meshing run once, outside the timed loop.
+    // scale 17 with 1M edge samples (928,487 edges), degree terrain at the
+    // default budget, about 109k triangles. Layout and meshing run once,
+    // outside the timed loop.
     let graph = ugraph::generators::rmat(17, 1_000_000, 20_170_419);
     let mut session = TerrainPipeline::from_measure(&graph, Measure::Degree);
     let stages = session.stages().unwrap();
     let scene = RenderScene::new(stages.render_tree, stages.layout, stages.mesh);
-    let exporter = Svg::new(900.0, 700.0);
     let mut out = Vec::new();
 
     let mut group = c.benchmark_group("terrain_export");
-    group.bench_function("svg_export", |b| {
-        b.iter(|| {
-            out.clear();
-            exporter.write_to(&scene, &mut out).unwrap();
-            out.len()
-        })
-    });
+    let exporters: [(&str, &dyn Exporter); 2] =
+        [("svg_export", &Svg::new(900.0, 700.0)), ("json_export", &JsonScene)];
+    for (name, exporter) in exporters {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                out.clear();
+                exporter.write_to(&scene, &mut out).unwrap();
+                out.len()
+            })
+        });
+    }
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_terrain_rendering, bench_unsimplified_scale, bench_svg_export
+    targets = bench_terrain_rendering, bench_unsimplified_scale, bench_export
 }
 criterion_main!(benches);

@@ -23,8 +23,8 @@ use std::sync::Arc;
 /// One cached artifact: the exact response body plus its validators.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedArtifact {
-    /// The response body, byte-exact across hits.
-    pub bytes: Vec<u8>,
+    /// The response body, byte-exact across hits; responses share it.
+    pub bytes: Arc<Vec<u8>>,
     /// The strong ETag served with this artifact (quoted, per RFC 9110).
     pub etag: String,
     /// The `Content-Type` served with this artifact.
@@ -229,7 +229,7 @@ impl LruCache {
             let key = std::mem::take(&mut self.slots[slot].key);
             self.bytes -= self.slots[slot].value.bytes.len();
             self.slots[slot].value = Arc::new(CachedArtifact {
-                bytes: Vec::new(),
+                bytes: Arc::default(),
                 etag: String::new(),
                 content_type: "",
             });
@@ -261,8 +261,11 @@ impl LruCache {
         self.unlink(slot);
         let key = std::mem::take(&mut self.slots[slot].key);
         self.bytes -= self.slots[slot].value.bytes.len();
-        self.slots[slot].value =
-            Arc::new(CachedArtifact { bytes: Vec::new(), etag: String::new(), content_type: "" });
+        self.slots[slot].value = Arc::new(CachedArtifact {
+            bytes: Arc::default(),
+            etag: String::new(),
+            content_type: "",
+        });
         self.map.remove(&key);
         self.free.push(slot);
         self.evictions += 1;
@@ -314,7 +317,7 @@ mod tests {
 
     fn artifact(n: usize) -> Arc<CachedArtifact> {
         Arc::new(CachedArtifact {
-            bytes: vec![0xAB; n],
+            bytes: Arc::new(vec![0xAB; n]),
             etag: etag_for_key(&format!("k{n}")),
             content_type: "image/svg+xml",
         })

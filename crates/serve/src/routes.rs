@@ -617,7 +617,7 @@ fn serve_cached(
         return Ok(artifact_response(&artifact, "hit"));
     }
     let (bytes, content_type) = render()?;
-    let artifact = Arc::new(CachedArtifact { bytes, etag, content_type });
+    let artifact = Arc::new(CachedArtifact { bytes: Arc::new(bytes), etag, content_type });
     state.cache.lock().expect("cache lock").insert(key.to_string(), Arc::clone(&artifact));
     Ok(artifact_response(&artifact, "miss"))
 }
@@ -644,8 +644,9 @@ fn serve_staged(
     })
 }
 
+/// The artifact's bytes as a response body, shared with the cache entry.
 fn artifact_response(artifact: &CachedArtifact, x_cache: &str) -> Response {
-    Response::with_body(200, artifact.content_type, artifact.bytes.clone())
+    Response::with_body(200, artifact.content_type, Arc::clone(&artifact.bytes))
         .header("ETag", &artifact.etag)
         .header("X-Cache", x_cache)
 }

@@ -672,7 +672,7 @@ fn terrains_rendered_from_a_reused_stage_set_match_a_fresh_pipeline() {
         let exporter = terrain::exporter_by_name_sized(exporter, 900.0, 700.0).unwrap();
         let mut expected = Vec::new();
         fresh.render_deterministic_to(exporter.as_ref(), &mut expected).unwrap();
-        assert_eq!(served.body, expected, "{query}");
+        assert_eq!(*served.body, expected, "{query}");
     }
     let sets = stage_sets(&state);
     assert_eq!((count(&sets, "builds"), count(&sets, "reuses")), (1, cases.len() as u64));
@@ -682,4 +682,32 @@ fn terrains_rendered_from_a_reused_stage_set_match_a_fresh_pipeline() {
     let set = state.stage_set(&entry, &Measure::Degree, Parallelism::Serial).unwrap();
     assert_eq!(Some(totals.tree_seconds), set.timings().tree_seconds);
     assert!(totals.layout_seconds > 0.0 && totals.svg_seconds > 0.0);
+}
+
+#[test]
+fn cache_hits_share_the_cached_bytes_instead_of_copying_them() {
+    let (state, graph) = state_with_ba_graph(1500);
+    let target = "/graphs/g/terrain?measure=degree&format=json";
+    let miss = routes::handle(&state, &get(target));
+    assert_eq!((miss.status, miss.header_value("x-cache")), (200, Some("miss")));
+    let first = routes::handle(&state, &get(target));
+    let second = routes::handle(&state, &get(target));
+    for hit in [&first, &second] {
+        assert_eq!(hit.header_value("x-cache"), Some("hit"));
+        assert!(Arc::ptr_eq(&hit.body, &miss.body), "a hit must alias the cached allocation");
+    }
+    // The cache entry and the three responses hold the one allocation.
+    assert_eq!(Arc::strong_count(&miss.body), 4);
+
+    let mut fresh = TerrainPipeline::from_shared(graph, Measure::Degree);
+    let mut expected = Vec::new();
+    fresh.render_deterministic_to(&terrain::JsonScene, &mut expected).unwrap();
+    assert_eq!(*second.body, expected);
+    // The wire bytes carry the shared body unchanged.
+    let mut wire = Vec::new();
+    second.write_to(&mut wire).unwrap();
+    assert!(wire.ends_with(&expected));
+    assert!(
+        String::from_utf8_lossy(&wire).contains(&format!("Content-Length: {}\r\n", expected.len()))
+    );
 }

@@ -21,7 +21,7 @@
 use super::chunk::ChunkWriter;
 use super::{Exporter, RenderScene};
 use crate::error::TerrainResult;
-use std::io::Write;
+use std::io::{self, Write};
 
 /// The JSON backend: streams mesh + layout + tree + timings for consumption
 /// by web frontends (or anything else that speaks JSON).
@@ -42,90 +42,104 @@ impl Exporter for JsonScene {
         let layout = scene.layout;
         let mesh = scene.mesh;
 
-        // Every float goes through `f64`'s `Display`, already the shortest
-        // decimal that round-trips; every scene value is finite (enforced
+        // Every float is written as its shortest round-trip decimal, the
+        // bytes of `f64`'s `Display`; every scene value is finite (enforced
         // upstream), so no special casing is needed. `1` parses as the
-        // number 1.
+        // number 1. Integers are written by `uint`, the structure as byte
+        // literals.
         let mut out = ChunkWriter::new(out);
-        writeln!(out, "{{")?;
-        writeln!(
-            out,
-            "  \"meta\": {{\"nodes\": {}, \"vertices\": {}, \"triangles\": {}}},",
-            tree.node_count(),
-            mesh.vertex_count(),
-            mesh.triangle_count()
-        )?;
+        out.write_all(b"{\n  \"meta\": {\"nodes\": ")?;
+        out.uint(tree.node_count() as u64)?;
+        out.write_all(b", \"vertices\": ")?;
+        out.uint(mesh.vertex_count() as u64)?;
+        out.write_all(b", \"triangles\": ")?;
+        out.uint(mesh.triangle_count() as u64)?;
+        out.write_all(b"},\n")?;
 
         // Tree: scalars, parents (null for roots), subtree member counts.
-        write!(out, "  \"tree\": {{\"scalars\": [")?;
-        for (i, s) in tree.scalars().iter().enumerate() {
-            if i > 0 {
-                write!(out, ", ")?;
-            }
-            write!(out, "{s}")?;
-        }
-        write!(out, "], \"parents\": [")?;
-        for (i, p) in tree.parents().iter().enumerate() {
-            if i > 0 {
-                write!(out, ", ")?;
-            }
-            match p {
-                Some(parent) => write!(out, "{parent}")?,
-                None => write!(out, "null")?,
-            }
-        }
-        write!(out, "], \"subtree_members\": [")?;
-        for (i, count) in tree.subtree_member_counts().iter().enumerate() {
-            if i > 0 {
-                write!(out, ", ")?;
-            }
-            write!(out, "{count}")?;
-        }
-        writeln!(out, "]}},")?;
+        out.write_all(b"  \"tree\": {\"scalars\": [")?;
+        write_list(&mut out, tree.scalars(), |out, &scalar| out.shortest(scalar))?;
+        out.write_all(b"], \"parents\": [")?;
+        write_list(&mut out, tree.parents(), |out, parent| match parent {
+            Some(parent) => out.uint(u64::from(*parent)),
+            None => out.write_all(b"null"),
+        })?;
+        out.write_all(b"], \"subtree_members\": [")?;
+        write_list(&mut out, tree.subtree_member_counts(), |out, count| out.uint(count as u64))?;
+        out.write_all(b"]},\n")?;
 
         // Layout: the domain and one rect per node.
-        writeln!(
-            out,
-            "  \"layout\": {{\"width\": {}, \"height\": {}, \"rects\": [",
-            layout.config.width, layout.config.height
-        )?;
+        out.write_all(b"  \"layout\": {\"width\": ")?;
+        out.shortest(layout.config.width)?;
+        out.write_all(b", \"height\": ")?;
+        out.shortest(layout.config.height)?;
+        out.write_all(b", \"rects\": [\n")?;
         for (i, r) in layout.rects.iter().enumerate() {
-            let comma = if i + 1 < layout.rects.len() { "," } else { "" };
-            writeln!(out, "    [{}, {}, {}, {}]{comma}", r.x0, r.y0, r.x1, r.y1)?;
+            out.write_all(b"    [")?;
+            write_list(&mut out, [r.x0, r.y0, r.x1, r.y1], |out, v| out.shortest(v))?;
+            out.write_all(b"]")?;
+            out.write_all(row_end(i, layout.rects.len()))?;
         }
-        writeln!(out, "  ]}},")?;
+        out.write_all(b"  ]},\n")?;
 
         // Mesh: positions and indexed, colored triangles.
-        writeln!(out, "  \"mesh\": {{\"vertices\": [")?;
+        out.write_all(b"  \"mesh\": {\"vertices\": [\n")?;
         for (i, v) in mesh.vertices.iter().enumerate() {
-            let comma = if i + 1 < mesh.vertices.len() { "," } else { "" };
-            writeln!(out, "    [{}, {}, {}]{comma}", v.x, v.y, v.z)?;
+            out.write_all(b"    [")?;
+            write_list(&mut out, [v.x, v.y, v.z], |out, c| out.shortest(c))?;
+            out.write_all(b"]")?;
+            out.write_all(row_end(i, mesh.vertices.len()))?;
         }
-        writeln!(out, "  ], \"triangles\": [")?;
+        out.write_all(b"  ], \"triangles\": [\n")?;
         for (i, t) in mesh.triangles.iter().enumerate() {
-            let comma = if i + 1 < mesh.triangles.len() { "," } else { "" };
-            write!(
-                out,
-                "    {{\"v\": [{}, {}, {}], \"color\": \"",
-                t.indices[0], t.indices[1], t.indices[2]
-            )?;
+            out.write_all(b"    {\"v\": [")?;
+            write_list(&mut out, t.indices, |out, index| out.uint(u64::from(index)))?;
+            out.write_all(b"], \"color\": \"")?;
             out.write_all(&t.color.hex_bytes())?;
-            writeln!(out, "\", \"node\": {}, \"top\": {}}}{comma}", t.node, t.is_top)?;
+            out.write_all(b"\", \"node\": ")?;
+            out.uint(u64::from(t.node))?;
+            out.write_all(if t.is_top { b", \"top\": true}" } else { b", \"top\": false}" })?;
+            out.write_all(row_end(i, mesh.triangles.len()))?;
         }
-        writeln!(out, "  ]}},")?;
+        out.write_all(b"  ]},\n")?;
 
         // Timings, exactly as the producer recorded them.
-        write!(out, "  \"timings\": [")?;
-        for (i, t) in scene.timings.iter().enumerate() {
-            if i > 0 {
-                write!(out, ", ")?;
-            }
-            write!(out, "{{\"stage\": \"{}\", \"seconds\": {}}}", t.stage, t.seconds)?;
-        }
-        writeln!(out, "]")?;
-        writeln!(out, "}}")?;
+        out.write_all(b"  \"timings\": [")?;
+        write_list(&mut out, scene.timings, |out, t| {
+            out.write_all(b"{\"stage\": \"")?;
+            out.write_all(t.stage.as_bytes())?;
+            out.write_all(b"\", \"seconds\": ")?;
+            out.shortest(t.seconds)?;
+            out.write_all(b"}")
+        })?;
+        out.write_all(b"]\n}\n")?;
         out.finish()?;
         Ok(())
+    }
+}
+
+/// Write `items` separated by `", "`.
+fn write_list<T>(
+    out: &mut ChunkWriter<'_>,
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut ChunkWriter<'_>, T) -> io::Result<()>,
+) -> io::Result<()> {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write_all(b", ")?;
+        }
+        write_item(out, item)?;
+    }
+    Ok(())
+}
+
+/// The line end after row `i` of `len` in a one-row-per-line array: a comma
+/// after every row but the last.
+fn row_end(i: usize, len: usize) -> &'static [u8] {
+    if i + 1 < len {
+        b",\n"
+    } else {
+        b"\n"
     }
 }
 

@@ -50,7 +50,7 @@
 //! ```
 
 pub mod ascii;
-mod chunk;
+pub(crate) mod chunk;
 pub mod json;
 pub mod obj;
 pub mod ply;

@@ -28,6 +28,7 @@ use std::io::Write as _;
 
 use crate::color::colormap;
 use crate::error::{TerrainError, TerrainResult};
+use crate::export::chunk::ChunkWriter;
 use crate::layout2d::{LayoutConfig, Rect};
 use scalarfield::SuperScalarTree;
 
@@ -247,7 +248,7 @@ impl Scene {
         let sx = f64::from(width_px) / viewport.width().max(1e-300);
         let sy = f64::from(height_px) / viewport.height().max(1e-300);
         let range = (self.peak - self.baseline).max(1e-300);
-        let mut w = io::BufWriter::new(writer);
+        let mut w = ChunkWriter::new(writer);
         writeln!(
             w,
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" viewBox="0 0 {width_px} {height_px}">"#
@@ -264,20 +265,23 @@ impl Scene {
                 r.x1.min(viewport.x1),
                 r.y1.min(viewport.y1),
             );
-            let x = (clipped.x0 - viewport.x0) * sx;
-            let y = (viewport.y1 - clipped.y1) * sy; // y up in layout, down in SVG
-            let w_px = clipped.width() * sx;
-            let h_px = clipped.height() * sy;
             let t = ((item.height - self.baseline) / range).clamp(0.0, 1.0);
             let fill = colormap(t).darkened(cushion_shade(&item.surface, r));
-            writeln!(
-                w,
-                r#"<rect x="{x:.2}" y="{y:.2}" width="{w_px:.2}" height="{h_px:.2}" fill="{}"/>"#,
-                fill.hex()
-            )?;
+            w.write_all(b"<rect x=\"")?;
+            w.fixed2((clipped.x0 - viewport.x0) * sx)?;
+            w.write_all(b"\" y=\"")?;
+            // y up in layout, down in SVG
+            w.fixed2((viewport.y1 - clipped.y1) * sy)?;
+            w.write_all(b"\" width=\"")?;
+            w.fixed2(clipped.width() * sx)?;
+            w.write_all(b"\" height=\"")?;
+            w.fixed2(clipped.height() * sy)?;
+            w.write_all(b"\" fill=\"")?;
+            w.write_all(&fill.hex_bytes())?;
+            w.write_all(b"\"/>\n")?;
         }
-        writeln!(w, "</svg>")?;
-        io::Write::flush(&mut w)?;
+        w.write_all(b"</svg>\n")?;
+        w.finish()?;
         Ok(())
     }
 }
