@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+pub use terrain::scene::tile::fnv1a64;
 
 /// One cached artifact: the exact response body plus its validators.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,16 +35,6 @@ pub struct CachedArtifact {
 /// The strong ETag for a canonical cache key: a quoted FNV-1a/64 hex digest.
 pub fn etag_for_key(key: &str) -> String {
     format!("\"{:016x}\"", fnv1a64(key.as_bytes()))
-}
-
-/// FNV-1a 64-bit over a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A point-in-time snapshot of the cache counters, served by `/stats`.

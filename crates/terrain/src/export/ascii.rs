@@ -78,27 +78,18 @@ fn render_heightmap(layout: &TerrainLayout, cols: usize, rows: usize) -> String 
     out
 }
 
-/// Render the terrain's height field to ASCII art of `cols` by `rows`
-/// characters (plus newlines).
-#[deprecated(
-    since = "0.3.0",
-    note = "use the `Ascii` exporter with a `RenderScene` \
-            (`Ascii::new(cols, rows).export_string(&scene)`)"
-)]
-pub fn ascii_heightmap(layout: &TerrainLayout, cols: usize, rows: usize) -> String {
-    render_heightmap(layout, cols, rows)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::layout2d::{layout_super_tree, LayoutConfig};
+    use crate::mesh::{build_terrain_mesh, MeshConfig};
     use measures::core_numbers;
     use scalarfield::{build_super_tree, vertex_scalar_tree, VertexScalarGraph};
     use ugraph::GraphBuilder;
 
-    fn sample_layout() -> TerrainLayout {
+    /// The ASCII heightmap of a small K-Core terrain on a `cols` × `rows`
+    /// grid, through the [`Ascii`] backend.
+    fn heightmap(cols: usize, rows: usize) -> String {
         let mut b = GraphBuilder::new();
         b.extend_edges([(0u32, 1u32), (1, 2), (2, 0), (2, 3), (3, 4)]);
         let g = b.build();
@@ -106,13 +97,14 @@ mod tests {
         let scalar: Vec<f64> = cores.core.iter().map(|&c| c as f64).collect();
         let sg = VertexScalarGraph::new(&g, &scalar).unwrap();
         let tree = build_super_tree(&vertex_scalar_tree(&sg));
-        layout_super_tree(&tree, &LayoutConfig::default())
+        let layout = layout_super_tree(&tree, &LayoutConfig::default());
+        let mesh = build_terrain_mesh(&tree, &layout, &MeshConfig::default());
+        Ascii::new(cols, rows).export_string(&RenderScene::new(&tree, &layout, &mesh)).unwrap()
     }
 
     #[test]
     fn heightmap_has_requested_dimensions() {
-        let layout = sample_layout();
-        let art = ascii_heightmap(&layout, 40, 12);
+        let art = heightmap(40, 12);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 12);
         assert!(lines.iter().all(|l| l.chars().count() == 40));
@@ -120,8 +112,7 @@ mod tests {
 
     #[test]
     fn heightmap_uses_multiple_height_levels() {
-        let layout = sample_layout();
-        let art = ascii_heightmap(&layout, 60, 20);
+        let art = heightmap(60, 20);
         let distinct: std::collections::BTreeSet<char> =
             art.chars().filter(|c| *c != '\n').collect();
         assert!(distinct.len() >= 2, "terrain with peaks should use several glyphs");
@@ -131,8 +122,7 @@ mod tests {
 
     #[test]
     fn degenerate_requests_return_empty_strings() {
-        let layout = sample_layout();
-        assert!(ascii_heightmap(&layout, 0, 10).is_empty());
-        assert!(ascii_heightmap(&layout, 10, 0).is_empty());
+        assert!(heightmap(0, 10).is_empty());
+        assert!(heightmap(10, 0).is_empty());
     }
 }

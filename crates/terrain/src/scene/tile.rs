@@ -117,9 +117,11 @@ pub fn tiles_overlapping(domain: &Rect, viewport: &Rect, zoom: u8) -> Vec<TileKe
 
 // ------------------------------------------------------------------ encode
 
-/// FNV-1a 64-bit, the same cheap integrity hash the artifact cache keys
-/// with.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over a byte string, one byte at a time: the `GTSC`
+/// integrity trailer, and the hash behind the server's artifact ETags.
+/// Cheap and dependency-free; it guards against truncation and bit rot, not
+/// adversaries.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

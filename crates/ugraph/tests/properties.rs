@@ -6,10 +6,10 @@ use proptest::prelude::*;
 use ugraph::dual::{estimated_dual_edges, line_graph};
 use ugraph::generators::{lfr, rmat, rmat_with, RmatConfig};
 use ugraph::io::{
-    decode_binary, decode_binary_auto, decode_binary_v2, encode_binary, encode_binary_v2,
-    read_edge_list, write_edge_list, write_edge_list_weighted,
+    decode_binary_v3, encode_binary_v3, read_edge_list, write_edge_list, write_edge_list_weighted,
+    GraphSource, MappedCsrGraph,
 };
-use ugraph::{connected_components, CsrGraph, GraphBuilder, UnionFind, VertexId};
+use ugraph::{connected_components, CsrGraph, GraphBuilder, GraphStorage, UnionFind, VertexId};
 
 fn arbitrary_edges(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..max_n).prop_flat_map(|n| {
@@ -25,6 +25,20 @@ fn build(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
         b.add_edge(u, v);
     }
     b.build()
+}
+
+/// Read a v3 snapshot back through every reader: the owned decoder, the
+/// zero-copy storage and a content-sniffed [`GraphSource`]. Each result is
+/// labelled with its reader.
+fn read_v3_three_ways(blob: &[u8]) -> Vec<(&'static str, CsrGraph, Option<Vec<f64>>)> {
+    let owned = decode_binary_v3(blob).unwrap();
+    let mapped = MappedCsrGraph::from_bytes(blob).unwrap();
+    let sniffed = GraphSource::reader(std::io::Cursor::new(blob.to_vec())).load().unwrap();
+    vec![
+        ("decode_binary_v3", owned.graph, owned.edge_weights),
+        ("MappedCsrGraph", mapped.to_csr_graph(), mapped.edge_weights().map(<[f64]>::to_vec)),
+        ("GraphSource", sniffed.graph, sniffed.edge_weights),
+    ]
 }
 
 proptest! {
@@ -105,11 +119,16 @@ proptest! {
         };
         prop_assert_eq!(edges_of(&parsed.graph), edges_of(&g));
 
-        let decoded = decode_binary(encode_binary(&g)).unwrap();
-        prop_assert_eq!(decoded, g);
+        // Binary: every v3 reader gives back the whole graph, isolated
+        // trailing vertices included, and no weights.
+        let blob = encode_binary_v3(&g, None).unwrap();
+        for (reader, decoded, weights) in read_v3_three_ways(&blob) {
+            prop_assert_eq!(&decoded, &g, "{} changed the graph", reader);
+            prop_assert!(weights.is_none(), "{} invented weights", reader);
+        }
     }
 
-    /// The weighted edge-list writer and the binary v2 snapshot both
+    /// The weighted edge-list writer and the binary v3 snapshot both
     /// round-trip arbitrary graphs *and* arbitrary finite weights exactly —
     /// same graph, bit-identical weights — end-to-end through the readers.
     #[test]
@@ -142,19 +161,15 @@ proptest! {
             prop_assert_eq!(bits(&parsed.edge_weights.unwrap()), bits(&weights));
         }
 
-        // Binary v2: the snapshot also preserves isolated trailing vertices,
-        // so the whole graph compares equal, and both decoders agree.
-        let blob = encode_binary_v2(&g, Some(&weights)).unwrap();
-        let direct = decode_binary_v2(&blob).unwrap();
-        prop_assert_eq!(&direct.graph, &g);
-        prop_assert_eq!(bits(&direct.edge_weights.unwrap()), bits(&weights));
-        let auto = decode_binary_auto(&blob).unwrap();
-        prop_assert_eq!(&auto.graph, &g);
-
-        // And an unweighted v2 snapshot round-trips the bare graph.
-        let bare = decode_binary_v2(&encode_binary_v2(&g, None).unwrap()).unwrap();
-        prop_assert_eq!(bare.graph, g);
-        prop_assert!(bare.edge_weights.is_none());
+        // Binary v3: the snapshot also preserves isolated trailing vertices,
+        // so the whole graph compares equal, and every reader returns the
+        // exact weight bits.
+        let blob = encode_binary_v3(&g, Some(&weights)).unwrap();
+        for (reader, decoded, read_weights) in read_v3_three_ways(&blob) {
+            prop_assert_eq!(&decoded, &g, "{} changed the graph", reader);
+            let read_weights = read_weights.unwrap_or_else(|| panic!("{reader} lost the weights"));
+            prop_assert_eq!(bits(&read_weights), bits(&weights), "{} changed a weight", reader);
+        }
     }
 
     /// Arbitrary builder output satisfies every invariant `check_invariants`

@@ -383,25 +383,6 @@ pub struct TerrainStages<'a> {
     pub mesh: &'a TerrainMesh,
 }
 
-/// The owned stage outputs moved out of a finished session by
-/// [`TerrainPipeline::into_parts`].
-#[derive(Clone, Debug)]
-pub struct TerrainParts {
-    /// The scalar field the terrain was built from.
-    pub scalar: Vec<f64>,
-    /// The full super scalar tree (before simplification).
-    pub super_tree: SuperScalarTree,
-    /// The simplified tree, when the node budget triggered; `None` means the
-    /// super tree itself was rendered.
-    pub simplified: Option<SuperScalarTree>,
-    /// The 2D layout of the rendered tree.
-    pub layout: TerrainLayout,
-    /// The 3D mesh of the rendered tree.
-    pub mesh: TerrainMesh,
-    /// The per-stage timings recorded while building.
-    pub timings: StageTimings,
-}
-
 /// What [`TerrainPipeline::apply_delta`] did: the overlay's apply counters
 /// plus how the session's cached scalar field crossed the mutation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -1207,22 +1188,6 @@ impl<'g> TerrainPipeline<'g> {
         .collect()
     }
 
-    /// Force every structural stage (through the mesh), then consume the
-    /// session and move its cached outputs out without copying — for one-shot
-    /// callers that want owned results (the deprecated `VertexTerrain` /
-    /// `EdgeTerrain` wrappers are built on this).
-    pub fn into_parts(mut self) -> TerrainResult<TerrainParts> {
-        self.ensure_mesh()?;
-        Ok(TerrainParts {
-            scalar: unwrap_or_clone(self.scalar.take().expect("ensured")),
-            super_tree: unwrap_or_clone(self.super_tree.take().expect("ensured")),
-            simplified: self.render_tree.take().expect("ensured"),
-            layout: self.layout.take().expect("ensured"),
-            mesh: self.mesh.take().expect("ensured"),
-            timings: self.timings,
-        })
-    }
-
     // ------------------------------------------------------------------
     // Stage computation.
     // ------------------------------------------------------------------
@@ -1427,13 +1392,6 @@ impl StageSet {
     pub fn timings(&self) -> StageTimings {
         self.timings
     }
-}
-
-/// The value behind `arc`, moved out when this is the last handle and
-/// cloned otherwise (`Arc::unwrap_or_clone`, which is newer than the
-/// workspace's minimum Rust version).
-fn unwrap_or_clone<T: Clone>(arc: Arc<T>) -> T {
-    Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// Exact incremental update of a computed measure scalar across a delta.

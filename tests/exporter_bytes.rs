@@ -178,3 +178,41 @@ fn scene_tiles_match_the_pinned_digests() {
         assert_eq!(*h, ph, "tile {k} changed for {m}:\n{table}");
     }
 }
+
+/// Whether `text` holds `number` as a whole token: not inside a longer
+/// number and not as the magnitude of a negative one.
+fn contains_number(text: &str, number: &str) -> bool {
+    text.match_indices(number).any(|(at, _)| {
+        let before = text[..at].bytes().next_back();
+        let after = text[at + number.len()..].bytes().next();
+        !matches!(before, Some(b'-' | b'.' | b'0'..=b'9'))
+            && !matches!(after, Some(b'.' | b'0'..=b'9' | b'e'))
+    })
+}
+
+#[test]
+fn json_scalars_round_exact_shortest_ties_up_like_core_fmt() {
+    // Each of these doubles lies exactly halfway between its two nearest
+    // shortest round-trip decimals; `core::fmt` takes the upper one (in
+    // magnitude), round-half-even would take the lower. None of the pinned
+    // digests above contains such a tie.
+    let ties = [
+        (f64::powi(2.0, 19) + f64::powi(2.0, -11), "524288.0004882813"),
+        (f64::powi(2.0, 49) + 0.25, "562949953421312.3"),
+    ];
+    let scalars: Vec<f64> = ties.iter().flat_map(|&(v, _)| [v, -v]).collect();
+    let mut graph = ugraph::GraphBuilder::new();
+    graph.extend_edges([(0u32, 1u32), (1, 2), (2, 3)]);
+    let graph = graph.build();
+    let mut session = TerrainPipeline::vertex(&graph, scalars.clone()).unwrap();
+    let mut out = Vec::new();
+    session.render_deterministic_to(&JsonScene, &mut out).unwrap();
+    let json = String::from_utf8(out).unwrap();
+    for (value, printed) in ties {
+        assert_eq!(format!("{value}"), printed, "core::fmt itself changed");
+    }
+    for value in scalars {
+        let printed = format!("{value}");
+        assert!(contains_number(&json, &printed), "{printed} is missing from the JSON scene");
+    }
+}

@@ -4,12 +4,10 @@
 //! ingest paths and identical to the pre-redesign output.
 
 use graph_terrain::{Measure, TerrainPipeline};
+use terrain::scene::tile::fnv1a64;
 use terrain::{builtin_exporters, Exporter, RenderScene, Svg};
-use ugraph::io::{
-    encode_binary, encode_binary_v2, encode_binary_v3, restamp_v3_checksum, GraphFormat,
-    GraphSource, MappedCsrGraph,
-};
-use ugraph::{CsrGraph, GraphBuilder};
+use ugraph::io::{encode_binary_v3, restamp_v3_checksum, GraphFormat, GraphSource, MappedCsrGraph};
+use ugraph::{CsrGraph, GraphBuilder, GraphError};
 
 /// The quickstart graph: a K5 and a K4 bridged through two extra authors.
 fn quickstart_graph() -> CsrGraph {
@@ -73,8 +71,7 @@ fn every_ingest_format_round_trips_to_an_identical_graph() {
         (GraphFormat::Csv, csv_fixture(&reference).into_bytes()),
         (GraphFormat::Metis, metis_fixture(&reference).into_bytes()),
         (GraphFormat::JsonAdjacency, json_fixture(&reference).into_bytes()),
-        (GraphFormat::Binary, encode_binary_v2(&reference, None).unwrap()),
-        (GraphFormat::Binary, encode_binary(&reference).as_ref().to_vec()),
+        (GraphFormat::Binary, encode_binary_v3(&reference, None).unwrap()),
     ];
     for (format, bytes) in cases {
         // Explicit format.
@@ -93,8 +90,12 @@ fn every_ingest_format_round_trips_to_an_identical_graph() {
     }
 }
 
+/// Length and FNV-1a64 digest of the quickstart K-Core terrain as the old
+/// `terrain_to_svg(mesh, 900.0, 700.0)` free function rendered it, recorded
+/// from that function before it was removed. Never re-record it.
+const PRE_REDESIGN_SVG: (usize, u64) = (2_178, 0x44db_8e67_5c4a_b295);
+
 #[test]
-#[allow(deprecated)]
 fn streaming_svg_is_byte_identical_to_the_pre_redesign_output() {
     // The acceptance criterion of the redesign: the Exporter-based SVG path
     // must reproduce the old `terrain_to_svg` free function byte for byte on
@@ -103,11 +104,9 @@ fn streaming_svg_is_byte_identical_to_the_pre_redesign_output() {
     let graph = quickstart_graph();
     let mut session = TerrainPipeline::from_measure(&graph, Measure::KCore);
     let stages = session.stages().unwrap();
-    let legacy = terrain::terrain_to_svg(stages.mesh, 900.0, 700.0);
-
     let scene = RenderScene::new(stages.render_tree, stages.layout, stages.mesh);
-    let streamed = Svg::new(900.0, 700.0).export_string(&scene).unwrap();
-    assert_eq!(streamed, legacy);
+    let legacy = Svg::new(900.0, 700.0).export_string(&scene).unwrap();
+    assert_eq!((legacy.len(), fnv1a64(legacy.as_bytes())), PRE_REDESIGN_SVG);
 
     let mut via_render_to = Vec::new();
     session.render_to(&Svg::new(900.0, 700.0), &mut via_render_to).unwrap();
@@ -128,7 +127,7 @@ fn every_ingest_path_yields_the_same_svg_bytes() {
         (GraphFormat::Csv, csv_fixture(&reference).into_bytes()),
         (GraphFormat::Metis, metis_fixture(&reference).into_bytes()),
         (GraphFormat::JsonAdjacency, json_fixture(&reference).into_bytes()),
-        (GraphFormat::Binary, encode_binary_v2(&reference, None).unwrap()),
+        (GraphFormat::Binary, encode_binary_v3(&reference, None).unwrap()),
     ];
     for (format, bytes) in cases {
         let source = GraphSource::reader(std::io::Cursor::new(bytes)).with_format(format);
@@ -152,7 +151,7 @@ fn every_backend_renders_the_quickstart_scene_nonempty() {
 fn corrupt_snapshots_fail_loudly_through_the_whole_stack() {
     // Corruption must surface as an error from `from_source`, not a panic —
     // the session boundary is where a serving system catches bad uploads.
-    let good = encode_binary_v2(&quickstart_graph(), None).unwrap();
+    let good = encode_binary_v3(&quickstart_graph(), None).unwrap();
     let mut corrupt = good.clone();
     corrupt[good.len() / 2] ^= 0xff;
     for blob in [corrupt, good[..good.len() - 3].to_vec(), b"GTSB\x07garbagegarbage".to_vec()] {
@@ -197,17 +196,35 @@ fn every_v3_byte_flip_is_rejected() {
     for at in 0..blob.len() {
         let mut corrupted = blob.to_vec();
         corrupted[at] ^= 0x20;
-        if at < 4 {
-            // A flip inside the magic stops the blob claiming to be a GTSB
-            // snapshot at all — the auto-dispatching stack then applies its
-            // documented legacy-v1 fallback, so only the strict v3 opener
-            // is in scope here.
-            assert!(
-                MappedCsrGraph::from_bytes(&corrupted).is_err(),
-                "flipped magic byte {at} accepted by MappedCsrGraph"
-            );
-        } else {
-            expect_v3_rejected(&corrupted, &format!("flipped bit at byte {at}"));
+        expect_v3_rejected(&corrupted, &format!("flipped bit at byte {at}"));
+    }
+}
+
+#[test]
+fn old_v1_blobs_are_rejected_as_bad_magic() {
+    // The retired v1 layout: u32 vertex and edge counts, then u32 endpoint
+    // pairs, no magic. It is not a snapshot any more, whether the format is
+    // stated or sniffed.
+    let graph = quickstart_graph();
+    let mut blob = Vec::new();
+    blob.extend_from_slice(&(graph.vertex_count() as u32).to_le_bytes());
+    blob.extend_from_slice(&(graph.edge_count() as u32).to_le_bytes());
+    for e in graph.edges() {
+        blob.extend_from_slice(&e.u.0.to_le_bytes());
+        blob.extend_from_slice(&e.v.0.to_le_bytes());
+    }
+    assert_eq!(GraphFormat::sniff(&blob), GraphFormat::Binary);
+    for format in [Some(GraphFormat::Binary), None] {
+        let mut source = GraphSource::reader(std::io::Cursor::new(blob.clone()));
+        if let Some(format) = format {
+            source = source.with_format(format);
+        }
+        match source.load() {
+            Err(GraphError::Parse { message, .. }) => {
+                assert!(message.contains("bad magic"), "{format:?}: {message}")
+            }
+            Err(other) => panic!("{format:?}: expected a parse error, got {other}"),
+            Ok(_) => panic!("{format:?}: a v1 blob loaded as a graph"),
         }
     }
 }
